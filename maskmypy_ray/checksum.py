@@ -31,6 +31,11 @@ def checksum_batch(df: pd.DataFrame, columns=None) -> tuple[int, int, int]:
     return _combine(pd.util.hash_pandas_object(df, index=False).to_numpy())
 
 
+def checksum_digest(total_s: int, total_x: int, total_n: int) -> str:
+    """8-hex-char digest of combined (sum mod 2**64, xor, rows) partials."""
+    return sha256(f"{total_s}:{total_x}:{total_n}".encode()).hexdigest()[:8]
+
+
 def checksum(ds_or_df, columns=None) -> str:
     """8-hex-char content checksum of a Ray Dataset / pandas DataFrame /
     pyarrow Table; invariant to row order and partitioning."""
@@ -56,4 +61,4 @@ def checksum(ds_or_df, columns=None) -> str:
     for p in parts:
         total_x ^= p[1]
         total_n += p[2]
-    return sha256(f"{total_s}:{total_x}:{total_n}".encode()).hexdigest()[:8]
+    return checksum_digest(total_s, total_x, total_n)

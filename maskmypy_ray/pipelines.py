@@ -2906,7 +2906,8 @@ def _merged_oracles() -> dict[str, str]:
             ("blocklist", "SELECT doc_id, host, CAST(0 AS BIGINT) AS v "
                           "FROM (" + base["host_blocklist_filter"] + ")"),
             ("rank", "SELECT CAST(-1 AS BIGINT) AS doc_id, host, "
-                     "rank_micro AS v FROM (" + base["host_rank"] + ")"),
+                     "CAST(rank_micro AS BIGINT) AS v FROM ("
+                     + base["host_rank"] + ")"),
             ("components", "SELECT CAST(-1 AS BIGINT) AS doc_id, host, "
                            "component AS v FROM ("
                            + base["host_components"] + ")")]),
@@ -5295,11 +5296,13 @@ _FULL_ORACLE_SNAPSHOT_LATE = full_oracle_queries
 
 def full_oracle_queries():  # noqa: F811 — extends the per-op surface
     from .stages.events import LATE_ARRIVAL_STREAM, LATE_DELAY_US
+    from .text.rank import LINKS_PER_DOC
 
     out = _FULL_ORACLE_SNAPSHOT_LATE()
     from .rng import sql_uniform01
 
     arr = sql_uniform01("event_id", SEED, LATE_ARRIVAL_STREAM)
+    slots = ", ".join(str(j) for j in range(LINKS_PER_DOC))
     out["late_events"] = (
         "WITH w AS (SELECT event_id, user_id, epoch_us(ts) AS ts_us, "
         "max(epoch_us(ts)) OVER (PARTITION BY user_id "
@@ -5320,7 +5323,7 @@ def full_oracle_queries():  # noqa: F811 — extends the per-op surface
         "((((d.doc_id % nn.n) * (d.doc_id % nn.n)) % nn.n) * 7 "
         " + d.doc_id * 31 + 97 * j.j + 1) % nn.n AS t "
         "FROM documents d CROSS JOIN nn "
-        "CROSS JOIN (SELECT unnest([0,1,2]) AS j) j), "
+        f"CROSS JOIN (SELECT unnest([{slots}]) AS j) j), "
         "lf AS (SELECT * FROM l WHERE t <> s), "
         "e AS (SELECT a.host AS src, b.host AS dst, "
         "CAST(count(*) AS BIGINT) AS w FROM lf "
@@ -5417,7 +5420,7 @@ def q_zonal_stats(sf_dir: str):
     from .stages.raster import rasterize_points, zonal_stats
 
     return zonal_stats(rasterize_points(masked_ds(sf_dir, "uniform")),
-                       seed=42)
+                       seed=SEED)
 
 
 FULL_QUERIES["rasterize_points"] = q_rasterize_points
