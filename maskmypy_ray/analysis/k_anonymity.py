@@ -12,13 +12,13 @@ mathematically exact circle predicate ``dist <= d``; the ported golden
 tests carry exact-circle expectations and the DuckDB oracle uses the
 identical predicate, so engine/oracle agree bit-for-bit.
 
-Distributed shape (SURVEY.md §2.2 A3), single-shuffle: the grid cell is
+Distributed shape (SURVEY.md §2.2 A3), single shuffle: the grid cell is
 sized >= the max displacement radius, addresses are replicated into their
-3x3 halo ring, points stay in their own cell, and ONE ``groupby(cell)``
-co-locates every point with all addresses it could possibly count — the
-per-group vectorized kernel emits final k values directly. Optional
-salting splits each cell's points into ``salt`` subgroups (addresses
-replicated per subgroup) to cap skew from hot (downtown) cells.
+3x3 halo ring, points stay in their own cell, and ONE ``sort("cell")``
+co-locates every point with all addresses it could count (a cell never
+spans two sorted blocks); one vectorized kernel per whole block emits
+final k values. Optional salting splits each cell's points into ``salt``
+subgroups (addresses replicated per subgroup) to cap hot-cell skew.
 
 A4 — polygon/areal ``estimate_k`` (`analysis.py:524-539,563-579`):
 k = floor(sum over polygons of pop * area(circle ∩ polygon)/area(polygon)).
@@ -30,13 +30,14 @@ reference's 32-gon approximation — same deviation note as above).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from ..geokernels.cells import cell_of_xy, neighbors_xy
+from ..geokernels.cells import cell_of_xy, cover_circle_xy, neighbors_xy
 from ..geokernels.pip import PolygonSet
 
 DEFAULT_CELL_M = 500.0
+# Cap on one count step's point x address block (~32 MB per float64 temp)
+MAX_PAIRS = 4_000_000
 
 
 def _point_cell_batch(batch: pa.Table, cell_m: float, salt: int,
@@ -87,30 +88,6 @@ def _addr_halo_batch(batch: pa.Table, cell_m: float, salt: int) -> pa.Table:
     return pa.concat_tables(tables)
 
 
-def _count_group_final(g: pd.DataFrame) -> pd.DataFrame:
-    pts = g[g["is_addr"] == 0]
-    if not len(pts):
-        return pd.DataFrame({"key": pd.array([], dtype="int64"),
-                             "k_anonymity": pd.array([], dtype="int64")})
-    addrs = g[g["is_addr"] == 1]
-    px = pts["px"].to_numpy()
-    py = pts["py"].to_numpy()
-    d = pts["d"].to_numpy()
-    if len(addrs):
-        ax = addrs["px"].to_numpy()
-        ay = addrs["py"].to_numpy()
-        cnt = np.empty(len(px), dtype=np.int64)
-        chunk = max(1, int(4_000_000 / max(1, len(ax))))
-        for i in range(0, len(px), chunk):
-            sl = slice(i, min(i + chunk, len(px)))
-            dx = px[sl, None] - ax[None, :]
-            dy = py[sl, None] - ay[None, :]
-            cnt[sl] = (dx * dx + dy * dy <= (d[sl, None]) ** 2).sum(axis=1)
-    else:
-        cnt = np.zeros(len(px), dtype=np.int64)
-    return pd.DataFrame({"key": pts["key"].to_numpy(), "k_anonymity": cnt + 1})
-
-
 class _TableDS:
     """Minimal Dataset-shim for a driver-side pyarrow address table."""
 
@@ -126,40 +103,68 @@ class _TableDS:
         return ray.data.from_arrow(self.table).map_batches(fn, **kwargs)
 
 
+def count_by_cell(idx, mx: np.ndarray, my: np.ndarray, d: np.ndarray,
+                  row: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Per point, the indexed addresses inside its circle (exact
+    ``dx*dx + dy*dy <= d*d``) among the cells the flat (``row``,
+    ``cells``) pairs list for it, each cell at most once per point.
+
+    ``idx`` = ``(cell_sorted, order, ax, ay, ...)``: cell c's addresses
+    are ``order[lo:hi]`` where ``cell_sorted[lo:hi] == c``. Each occupied
+    cell's addresses are tested once against ALL points listing it, as
+    small cache-resident P x A blocks (a flat gather was memory-bound and
+    anti-scaled past ~8 cores); a hot cell's block is split over its
+    points to stay within MAX_PAIRS pairs."""
+    cell_sorted, order, ax, ay = idx[:4]
+    cnt = np.zeros(len(mx), dtype=np.int64)
+    sorter = np.argsort(cells, kind="stable")
+    rows_s = row[sorter]
+    uniq, starts = np.unique(cells[sorter], return_index=True)
+    lo = np.searchsorted(cell_sorted, uniq, side="left")
+    hi = np.searchsorted(cell_sorted, uniq, side="right")
+    ends = np.append(starts[1:], len(rows_s))
+    occ = np.nonzero(hi > lo)[0]
+    for s, e, a, b in zip(starts[occ].tolist(), ends[occ].tolist(),
+                          lo[occ].tolist(), hi[occ].tolist()):
+        sel = order[a:b]
+        gx, gy = ax[sel][None, :], ay[sel][None, :]
+        step = max(1, MAX_PAIRS // (b - a))
+        for i in range(s, e, step):
+            pr = rows_s[i:min(i + step, e)]
+            dx = gx - mx[pr][:, None]
+            dy = gy - my[pr][:, None]
+            cnt[pr] += (dx * dx + dy * dy <= (d[pr] * d[pr])[:, None]).sum(axis=1)
+    return cnt
+
+
 def count_in_circles(idx, mx: np.ndarray, my: np.ndarray,
                      d: np.ndarray) -> np.ndarray:
     """Count addresses within each point's own circle against the
-    compiled broadcast cell index. Works at the index's coordinate dtype
-    (float32 in the fused bench path, float64 everywhere else).
+    compiled broadcast cell index, searching the circle's cover cells.
+    Works at the index's coordinate dtype (float32 in the fused bench
+    path, float64 everywhere else)."""
+    row, cells = cover_circle_xy(mx, my, d, idx[4])
+    return count_by_cell(idx, mx, my, d, row, cells)
 
-    Group cover rows by cell: each occupied cell's address slice
-    (order[lo:hi], contiguous) is tested once against ALL points
-    covering that cell — small cache-resident P x A blocks instead of
-    one giant random gather (the flat-gather variant was memory-bound
-    and anti-scaled past ~8 cores)."""
-    from ..geokernels.cells import cover_circle_xy
 
-    cell_sorted, order, ax, ay, cell_m = idx
-    row, cells = cover_circle_xy(mx, my, d, cell_m)
-    cnt = np.zeros(len(mx), dtype=np.int64)
-    sorter = np.argsort(cells, kind="stable")
-    cells_s = cells[sorter]
-    rows_s = row[sorter]
-    uniq, starts = np.unique(cells_s, return_index=True)
-    lo = np.searchsorted(cell_sorted, uniq, side="left")
-    hi = np.searchsorted(cell_sorted, uniq, side="right")
-    bounds = np.append(starts, len(cells_s))
-    for g in range(len(uniq)):
-        a, b = lo[g], hi[g]
-        if a == b:
-            continue
-        pr = rows_s[bounds[g]:bounds[g + 1]]
-        sel = order[a:b]
-        dx = ax[sel][None, :] - mx[pr][:, None]
-        dy = ay[sel][None, :] - my[pr][:, None]
-        hits = (dx * dx + dy * dy <= (d[pr] * d[pr])[:, None]).sum(axis=1)
-        cnt[pr] += hits
-    return cnt
+def _count_cell_block(block: pa.Table, key_col: str) -> pa.Table:
+    """Shuffle-plan kernel over one whole ``sort("cell")`` output block.
+    Every cell's point rows and halo-replicated address rows share the
+    block, so each point's own (salted) cell is its single cover cell.
+    An address-only block yields a typed empty table."""
+    def col(name):
+        return block.column(name).to_numpy(zero_copy_only=False)
+
+    is_addr = col("is_addr") == 1
+    pt, ad = np.nonzero(~is_addr)[0], np.nonzero(is_addr)[0]
+    cell, px, py = col("cell"), col("px"), col("py")
+    acell = cell[ad]
+    order = np.argsort(acell, kind="stable")
+    idx = (acell[order], order, px[ad], py[ad])
+    cnt = count_by_cell(idx, px[pt], py[pt], col("d")[pt],
+                        np.arange(len(pt)), cell[pt])
+    return pa.table({key_col: pa.array(col("key")[pt], type=pa.int64()),
+                     "k_anonymity": pa.array(cnt + 1, type=pa.int64())})
 
 
 class BroadcastKCounter:
@@ -259,20 +264,17 @@ def calculate_k(masked_ds, addresses_ds, cell_m: float | None = None,
       enough to broadcast (< BROADCAST_ADDR_LIMIT rows), a cell-bucketed
       index is ``ray.put`` once and a stateless actor pool counts per
       point from the circle's cover cells.
-    * ``shuffle`` — ONE groupby(cell): the cell size is >= the max
+    * ``shuffle`` — ONE ``sort("cell")``: the cell size is >= the max
       displacement radius (auto: one Max aggregate), so every address
       within a point's circle lies in the 3x3 halo of the point's own
       cell; addresses replicate into their halo (9x [x salt]), points
-      stay in one (cell [, salt]) group, and k completes per group.
-      (The earlier two-shuffle variant — point-circle cover expansion +
-      groupby(key) re-aggregation — spent ~80% of its wall time in the
-      second aggregate.)
+      stay in one (cell [, salt]) key, and one vectorized kernel per
+      sorted block completes k for all its cells (``count_by_cell``,
+      the loop the broadcast plan runs too).
 
     ``mode="auto"`` picks broadcast when the address count is known small.
     """
-    import pyarrow as _pa
-
-    if isinstance(addresses_ds, _pa.Table):
+    if isinstance(addresses_ds, pa.Table):
         # Small side handed directly as an Arrow table: skip the Ray
         # count/collect passes entirely.
         if mode == "auto":
@@ -319,15 +321,12 @@ def calculate_k(masked_ds, addresses_ds, cell_m: float | None = None,
         lambda b: _point_cell_batch(b, cell_m, salt, key_col), batch_format="pyarrow")
     adr = addresses_ds.map_batches(
         lambda b: _addr_halo_batch(b, cell_m, salt), batch_format="pyarrow")
-    counts = pts.union(adr).groupby("cell").map_groups(
-        _count_group_final, batch_format="pandas")
-    return counts.map_batches(
-        lambda b: pa.table({
-            key_col: b.column("key"),
-            "k_anonymity": b.column("k_anonymity"),
-        }),
-        batch_format="pyarrow",
-    )
+    # batch_size=None: each batch is one whole sorted block, so no cell
+    # is split. The sort is an all-to-all barrier, so this map never
+    # fuses with a row-expanding upstream stage.
+    return pts.union(adr).sort("cell").map_batches(
+        lambda b: _count_cell_block(b, key_col), batch_format="pyarrow",
+        batch_size=None)
 
 
 # ---------------------------------------------------------------------------

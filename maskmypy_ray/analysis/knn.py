@@ -13,10 +13,11 @@ ring expansion — gather candidates from the (2r+1)^2 cell block, take
 the k best by (dist2, addr_id), and accept once the k-th distance is
 strictly inside the ring's guarantee radius ``r * index_cell`` (an
 address outside the block is farther than that) or the block already
-covers every address. Unresolved points re-run with the ring doubled;
-every step is vectorized across the batch (range-expansion via
-repeat/cumsum, per-point top-k via one lexsort + segment rank — the
-``_head_k_per_host`` idiom).
+covers every address. Unresolved points re-run with the ring doubled,
+gathering only the annulus the doubling adds and re-ranking it with
+their carried top-k; every step is vectorized across the batch
+(range-expansion via repeat/cumsum, per-point top-k via one lexsort +
+segment rank — the ``_head_k_per_host`` idiom).
 
 Scale note: this is the small-context-side plan (guarded by the same
 BROADCAST_ADDR_LIMIT as calculate_k). For address sides too large to
@@ -79,10 +80,19 @@ def _knn_batch(idx, mx, my, keys, k: int):
     out_d2 = np.empty(len(out_key), dtype=np.float64)
     filled = 0
     unres = np.arange(n)
-    ring = 1
+    own = cell_of_xy(mx, my, icell)
+    # Carried top-k candidates of the unresolved points (local point
+    # index, index position, dist2) and each one's cumulative candidate
+    # count: a ring doubling gathers only its new annulus and re-ranks it
+    # together with the carried top-k, which ranks like the full block.
+    c_pts = np.empty(0, dtype=np.int64)
+    c_cand = np.empty(0, dtype=np.int64)
+    c_d2 = np.empty(0, dtype=np.float64)
+    seen = np.zeros(n, dtype=np.int64)
+    ring, inner = 1, -1
     while len(unres):
         px, py = mx[unres], my[unres]
-        nb = neighbors_xy(cell_of_xy(px, py, icell), ring=ring)
+        nb = neighbors_xy(own[unres], ring=ring, inner=inner)
         lo = np.searchsorted(cells, nb.ravel(), side="left")
         hi = np.searchsorted(cells, nb.ravel(), side="right")
         cnt = hi - lo
@@ -96,9 +106,14 @@ def _knn_batch(idx, mx, my, keys, k: int):
         cand = np.repeat(starts - off, reps) + np.arange(reps.sum())
         dx = px[pts] - ax[cand]
         dy = py[pts] - ay[cand]
-        d2 = dx * dx + dy * dy
+        seen += np.bincount(pts, minlength=len(unres))
+        pts = np.concatenate((c_pts, pts))
+        cand = np.concatenate((c_cand, cand))
+        d2 = np.concatenate((c_d2, dx * dx + dy * dy))
         order = np.lexsort((aid[cand], d2, pts))
         spt = pts[order]
+        scand = cand[order]
+        sd2 = d2[order]
         firsts = np.ones(len(spt), dtype=bool)
         firsts[1:] = spt[1:] != spt[:-1]
         seg_start = np.maximum.accumulate(
@@ -106,25 +121,28 @@ def _knn_batch(idx, mx, my, keys, k: int):
         rank = np.arange(len(spt)) - seg_start
         top = rank < k
         # per-point found count + k-th (= worst kept) distance
-        n_cand = np.bincount(pts, minlength=len(unres))
-        found = np.minimum(n_cand, k)
+        found = np.minimum(seen, k)
         worst = np.zeros(len(unres), dtype=np.float64)
-        kept_pts = spt[top]
-        np.maximum.at(worst, kept_pts, d2[order][top])
+        np.maximum.at(worst, spt[top], sd2[top])
         guarantee = (ring * icell) ** 2
         done = ((found >= min(k, n_addr)) & (worst < guarantee)) \
-            | (n_cand >= n_addr)
+            | (seen >= n_addr)
         if done.any():
             emit = top & done[spt]
             m = int(emit.sum())
             sl = slice(filled, filled + m)
             out_key[sl] = keys[unres][spt[emit]]
             out_rank[sl] = rank[emit] + 1
-            out_aid[sl] = aid[cand][order][emit]
-            out_d2[sl] = d2[order][emit]
+            out_aid[sl] = aid[scand[emit]]
+            out_d2[sl] = sd2[emit]
             filled += m
+        carry = top & ~done[spt]
+        c_pts = (np.cumsum(~done) - 1)[spt[carry]]
+        c_cand = scand[carry]
+        c_d2 = sd2[carry]
+        seen = seen[~done]
         unres = unres[~done]
-        ring *= 2
+        ring, inner = 2 * ring, ring
     return (out_key[:filled], out_rank[:filled], out_aid[:filled],
             out_d2[:filled])
 

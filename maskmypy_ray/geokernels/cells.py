@@ -47,16 +47,23 @@ def cell_xy_components(cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cell % _GRID_STRIDE - _GRID_OFFSET, cell // _GRID_STRIDE - _GRID_OFFSET
 
 
-def neighbors_xy(cell: np.ndarray, ring: int = 1) -> np.ndarray:
+def neighbors_xy(cell: np.ndarray, ring: int = 1,
+                 inner: int = -1) -> np.ndarray:
     """All cells within ``ring`` grid steps of each input cell (incl. self).
+    With ``inner >= 0``, only the annulus of Chebyshev distance in
+    (inner, ring]: the cells a kNN ring doubling adds.
 
-    Shape: (len(cell), (2*ring+1)**2). Used for halo replication in kNN /
-    nnd joins (SURVEY.md §2.2 A8).
+    Shape: (len(cell), (2*ring+1)**2), less (2*inner+1)**2 with an
+    ``inner``. Used for halo replication in kNN / nnd joins (SURVEY.md
+    §2.2 A8).
     """
     cell = np.asarray(cell, dtype=np.int64).reshape(-1, 1)
     k = 2 * ring + 1
     dx = np.tile(np.arange(-ring, ring + 1, dtype=np.int64), k)
     dy = np.repeat(np.arange(-ring, ring + 1, dtype=np.int64), k)
+    if inner >= 0:
+        keep = np.maximum(np.abs(dx), np.abs(dy)) > inner
+        dx, dy = dx[keep], dy[keep]
     return cell + dy * _GRID_STRIDE + dx
 
 

@@ -1,6 +1,7 @@
 """Emulates the driver's correctness gate: every queries() entry with an
-oracle_sql() entry must match DuckDB on row-count + schema + sorted
-values. Runs at sf0.001 for speed (the driver uses sf0.01)."""
+oracle_sql() entry must match DuckDB on row-count + schema (column
+names and dtypes) + sorted values. Runs at sf0.001 for speed (the
+driver uses sf0.01)."""
 
 from __future__ import annotations
 
@@ -59,6 +60,8 @@ def test_query_matches_oracle(name, ray_session, sf_dir, oracle_con):
     a, b = _canon(res), _canon(exp)
     assert list(a.columns) == list(b.columns), (list(a.columns), list(b.columns))
     for col in a.columns:
+        assert a[col].dtype == b[col].dtype, \
+            f"{name}.{col}: dtype {a[col].dtype} != oracle {b[col].dtype}"
         av, bv = a[col].to_numpy(), b[col].to_numpy()
         if av.dtype.kind == "f":
             assert np.array_equal(av, bv, equal_nan=True), f"{name}.{col}"

@@ -103,6 +103,9 @@ def test_cells_roundtrip_and_cover():
     nb = neighbors_xy(c[:1], ring=1)
     assert nb.shape == (1, 9)
     assert c[0] in nb[0]
+    ann = neighbors_xy(c[:1], ring=2, inner=1)  # ring-2 block minus 3x3
+    assert sorted(ann[0]) == sorted(set(neighbors_xy(c[:1], ring=2)[0])
+                                    - set(nb[0]))
     # circle cover contains the point's own cell and all overlapping ones
     row, cells = cover_circle_xy(np.array([250.0]), np.array([250.0]),
                                  np.array([300.0]), 500.0)

@@ -65,13 +65,30 @@ def test_zonal_conserves_and_pip_agrees(ray_session, sf_dir):
     assert np.array_equal(pid, exp)
 
 
+def _brute_knn(pts, ad, k):
+    import pandas as pd
+
+    from maskmypy_ray.geokernels.geometry import latlon_to_xy
+
+    ax, ay = latlon_to_xy(ad["lat"].to_numpy(), ad["lon"].to_numpy())
+    aid = ad["addr_id"].to_numpy()
+    rows = []
+    for did, mx, my in zip(pts["doc_id"], pts["mx"], pts["my"]):
+        dx, dy = mx - ax, my - ay
+        d2 = dx * dx + dy * dy
+        for r, i in enumerate(np.lexsort((aid, d2))[:k]):
+            rows.append((did, r + 1, aid[i], d2[i]))
+    return pd.DataFrame(rows, columns=["doc_id", "rank", "addr_id",
+                                       "dist2"]) \
+        .sort_values(["doc_id", "rank"]).reset_index(drop=True)
+
+
 def test_knn_join_matches_brute_force(ray_session, sf_dir):
     """knn_join (ring-expansion broadcast kernel) equals the O(P*A)
     brute force on ids AND exact float distances."""
     import pandas as pd
 
     from maskmypy_ray.analysis.knn import knn_join
-    from maskmypy_ray.geokernels.geometry import latlon_to_xy
     from maskmypy_ray.pipelines import SEED, masked_ds
     from maskmypy_ray.sources.webpages import read_addresses
 
@@ -80,16 +97,41 @@ def test_knn_join_matches_brute_force(ray_session, sf_dir):
         .sort_values(["doc_id", "rank"]).reset_index(drop=True)
     pts = masked_ds(sf_dir, "uniform") \
         .select_columns(["doc_id", "mx", "my"]).to_pandas()
+    exp = _brute_knn(pts, read_addresses(sf_dir, seed=SEED).to_pandas(), 3)
+    pd.testing.assert_frame_equal(got, exp)
+
+
+def test_knn_join_far_points(ray_session, sf_dir):
+    """Points 20 km and 200 km outside the address cloud, next to
+    ordinary points, resolve only after many ring doublings (the 500 m
+    index needs ring 64 and ring 512; a 100 m index takes ordinary points
+    through rings 2-8 as well): each doubling gathers just its annulus
+    and merges it with the carried top-k, and the result still equals
+    brute force on ids and exact dist2."""
+    import pandas as pd
+    import ray.data
+
+    from maskmypy_ray.analysis.knn import knn_join
+    from maskmypy_ray.geokernels.geometry import latlon_to_xy
+    from maskmypy_ray.pipelines import SEED, masked_ds
+    from maskmypy_ray.sources.webpages import read_addresses
+
     ad = read_addresses(sf_dir, seed=SEED).to_pandas()
     ax, ay = latlon_to_xy(ad["lat"].to_numpy(), ad["lon"].to_numpy())
-    aid = ad["addr_id"].to_numpy()
-    rows = []
-    for did, mx, my in zip(pts["doc_id"], pts["mx"], pts["my"]):
-        dx, dy = mx - ax, my - ay
-        d2 = dx * dx + dy * dy
-        for r, i in enumerate(np.lexsort((aid, d2))[:3]):
-            rows.append((did, r + 1, aid[i], d2[i]))
-    exp = pd.DataFrame(rows, columns=["doc_id", "rank", "addr_id",
-                                      "dist2"]) \
-        .sort_values(["doc_id", "rank"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, exp)
+    near = masked_ds(sf_dir, "uniform") \
+        .select_columns(["doc_id", "mx", "my"]).to_pandas().head(40)
+    far = pd.DataFrame({
+        "doc_id": near["doc_id"].max() + 1 + np.arange(4),
+        "mx": [ax.max() + 20_000.0, ax.mean(), ax.min() - 200_000.0,
+               ax.max() + 150_000.0],
+        "my": [ay.mean(), ay.min() - 20_000.0, ay.mean(),
+               ay.max() + 150_000.0],
+    })
+    pts = pd.concat([near, far], ignore_index=True)
+    # the 100 m index skips the 200 km points (ring 2048 is ~13M cells)
+    for cell_m, n in ((500.0, len(pts)), (100.0, len(near) + 2)):
+        got = knn_join(ray.data.from_pandas(pts.head(n)),
+                       read_addresses(sf_dir, seed=SEED), k=3,
+                       cell_m=cell_m).to_pandas() \
+            .sort_values(["doc_id", "rank"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, _brute_knn(pts.head(n), ad, 3))

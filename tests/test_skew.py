@@ -49,3 +49,99 @@ def test_hot_cells_exist(sf_dir, points_table):
     cells = cell_of_xy(ax, ay, 500.0)
     _, counts = np.unique(cells, return_counts=True)
     assert counts.max() > 5 * np.median(counts)
+
+
+def _union_block(cells, is_addr, keys, xs, ys, ds):
+    import pyarrow as pa
+
+    return pa.table({
+        "cell": pa.array(cells, type=pa.int64()),
+        "is_addr": pa.array(is_addr, type=pa.int8()),
+        "key": pa.array(keys, type=pa.int64()),
+        "px": pa.array(xs, type=pa.float64()),
+        "py": pa.array(ys, type=pa.float64()),
+        "d": pa.array(ds, type=pa.float64()),
+    })
+
+
+def _brute_k(block):
+    """k per point row from an O(P*A) scan of same-cell address rows."""
+    t = block.to_pandas()
+    pts, adr = t[t["is_addr"] == 0], t[t["is_addr"] == 1]
+    k = []
+    for c, x, y, d in zip(pts["cell"], pts["px"], pts["py"], pts["d"]):
+        a = adr[adr["cell"] == c]
+        dx, dy = a["px"].to_numpy() - x, a["py"].to_numpy() - y
+        k.append(int((dx * dx + dy * dy <= d * d).sum()) + 1)
+    return pts["key"].to_numpy(), np.array(k, dtype=np.int64)
+
+
+def test_cell_block_kernel_matches_brute_force():
+    """The shuffle plan's block kernel on a hand-built union block: one
+    hot cell whose P x A exceeds MAX_PAIRS (the chunk loop runs twice,
+    the second time on a partial chunk), a d=0 point on an address
+    (inclusive boundary, k=2), interleaved and unsorted rows, salt=3
+    cell keys (cell * 3 + key % 3, addresses in every salt lane)."""
+    from maskmypy_ray.analysis.k_anonymity import MAX_PAIRS, _count_cell_block
+
+    rng = np.random.default_rng(5)
+    salt = 3
+    n_ha = 2000                       # hot cell: addresses per salt lane
+    n_hp = MAX_PAIRS // n_ha + 100    # points in ONE lane: > MAX_PAIRS pairs
+    hot_keys = np.arange(n_hp) * salt + 1            # all in lane 1
+    cells = [7 * salt + np.repeat(np.arange(salt), n_ha),
+             7 * salt + hot_keys % salt]
+    is_addr = [np.ones(n_ha * salt), np.zeros(n_hp)]
+    keys = [np.full(n_ha * salt, -1), hot_keys]
+    xs = [rng.uniform(0, 500, n_ha * salt), rng.uniform(0, 500, n_hp)]
+    ys = [rng.uniform(0, 500, n_ha * salt), rng.uniform(0, 500, n_hp)]
+    ds = [np.zeros(n_ha * salt), rng.uniform(0, 80, n_hp)]
+    # a cold cell: point exactly on an address with d = 0, one more
+    # address just outside, and a point whose cell has no address
+    cells.append(np.array([9 * salt + 2, 9 * salt + 2, 9 * salt + 2, 11 * salt]))
+    is_addr.append(np.array([1, 1, 0, 0]))
+    keys.append(np.array([-1, -1, 5, 9]))
+    xs.append(np.array([100.0, 100.0, 100.0, 3.0]))
+    ys.append(np.array([200.0, 200.5, 200.0, 4.0]))
+    ds.append(np.array([0.0, 0.0, 0.0, 50.0]))
+    perm = rng.permutation(sum(len(c) for c in cells))
+    block = _union_block(*(np.concatenate(v)[perm]
+                           for v in (cells, is_addr, keys, xs, ys, ds)))
+    assert n_hp * n_ha > MAX_PAIRS
+
+    got = _count_cell_block(block, "pid")
+    assert got.column_names == ["pid", "k_anonymity"]
+    assert [str(t) for t in got.schema.types] == ["int64", "int64"]
+    want_key, want_k = _brute_k(block)
+    order = np.argsort(want_key)
+    gk = got.to_pandas().sort_values("pid")
+    assert np.array_equal(gk["pid"].to_numpy(), want_key[order])
+    assert np.array_equal(gk["k_anonymity"].to_numpy(), want_k[order])
+    kk = dict(zip(gk["pid"], gk["k_anonymity"]))
+    assert kk[5] == 2 and kk[9] == 1
+    assert (gk["k_anonymity"] > 1).any()
+
+
+def test_cell_block_kernel_address_only_and_empty():
+    from maskmypy_ray.analysis.k_anonymity import _count_cell_block
+
+    adr = _union_block([3, 3], [1, 1], [-1, -1], [0.0, 1.0], [0.0, 1.0],
+                       [0.0, 0.0])
+    for block in (adr, adr.slice(0, 0)):
+        got = _count_cell_block(block, "pid")
+        assert got.num_rows == 0
+        assert got.column_names == ["pid", "k_anonymity"]
+        assert [str(t) for t in got.schema.types] == ["int64", "int64"]
+
+
+def test_shuffle_plan_output_schema(masked, sf_dir):
+    from maskmypy_ray.analysis.k_anonymity import calculate_k
+    from maskmypy_ray.sources.webpages import read_addresses
+
+    pts = masked.select_columns(["doc_id", "mx", "my", "_distance"]) \
+        .rename_columns({"doc_id": "pid"})
+    df = calculate_k(pts, read_addresses(sf_dir), key_col="pid",
+                     mode="shuffle").to_pandas()
+    assert list(df.columns) == ["pid", "k_anonymity"]
+    assert [str(t) for t in df.dtypes] == ["int64", "int64"]
+    assert len(df) == masked.count()
