@@ -1,5 +1,5 @@
 """Distributed DBSCAN over planar points (grid cells + halo shuffles +
-BSP min-label components).
+large-star/small-star components).
 
 No reference counterpart (graft spatial addition, SURVEY.md §2.6): the
 density-clustering sibling of the near-dup cluster family
@@ -17,7 +17,7 @@ density-clustering sibling of the near-dup cluster family
 * everything else is NOISE (``cluster = -1``).
 
 Scale shape (north_rule tiling engine — same cell+halo pattern as
-`analysis/nnd.py` / `analysis/knn.py`, same BSP kernel as
+`analysis/nnd.py` / `analysis/knn.py`, same components kernel as
 `text/clusters.py`):
 
 1. degree pass: each point replicates into its 3x3 ``eps``-cell ring
@@ -30,15 +30,17 @@ Scale shape (north_rule tiling engine — same cell+halo pattern as
 2. edge pass: a second halo shuffle over the flagged points emits
    core-core edges and border->core adjacency (each from the home
    cell, so every ordered pair is emitted exactly once);
-3. components: `text.clusters.connected_components` — one fused
-   Pregel-style shuffle per round with delta messaging;
+3. components: `text.clusters.connected_components` — alternating
+   large-star/small-star rounds, one coarse shuffle each over the
+   core-core edges, O(log n) rounds in practice however long the
+   chains of core points;
 4. border + final assembly: the adjacency attaches component labels by
    routing on the CORE key, then every per-point row (url side, flag
    side, component side, border side) meets in ONE fused
    ``groupby(key % P)`` merge. Nothing ever materializes on the
    driver; the two `materialize()` checkpoints are bounded (one row
-   per point; one row per eps-neighbor pair — the same O(E) the BSP
-   shuffle itself moves) and exist because each feeds two consumers
+   per point; one row per eps-neighbor pair — the same O(E) each
+   components round moves) and exist because each feeds two consumers
    (round-4 dual-consumer rule).
 """
 
@@ -222,7 +224,7 @@ def dbscan(points_ds, eps: float = DEFAULT_EPS_M,
                              core_col="is_core"),
         batch_format="pyarrow")
     # bounded checkpoint: O(eps-neighbor pairs) — the same order the
-    # BSP round shuffle moves; feeds CC and the border attach
+    # components round shuffle moves; feeds CC and the border attach
     adj = halo2.groupby("p").map_groups(
         lambda g: _edge_part(g, eps2), batch_format="pandas") \
         .map_batches(_to_arrow_i64(("a", "b", "kind")),

@@ -1304,7 +1304,7 @@ def _dup_clusters_materialized(sf_dir: str):
 def q_dup_clusters(sf_dir: str):
     """Connected-component cluster id per doc over banded MinHash-LSH
     near-dup pair edges verified at 5-gram-Jaccard >= 0.8
-    (text.clusters hash-min label propagation over minhash_lsh_pairs —
+    (text.clusters large-star/small-star over minhash_lsh_pairs —
     the composition that scales past the O(n^2) exact-pairs guard)."""
     return _dup_clusters_materialized(sf_dir)
 
@@ -3413,7 +3413,7 @@ def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge delta parts
 
 def q_host_components(sf_dir: str):
     """Connected components of the host link graph (min-63-bit-hash
-    labels via BSP label propagation — text/rank.py)."""
+    labels via large-star/small-star rounds — text/rank.py)."""
     from .text.rank import host_components
 
     return host_components(read_webpages(sf_dir, seed=SEED,

@@ -6,30 +6,35 @@ never emitted. This module turns a pair list (from `jaccard_pairs_exact`,
 `minhash_lsh_pairs`, `simhash_pairs`, ...) into a per-node cluster id =
 the minimum doc_id reachable through pair edges.
 
-Scale shape — hash-min label propagation, the standard BSP connected
-components (no driver-side union-find, no graph materialization):
+Scale shape — large-star/small-star (Kiveris et al., "Connected
+Components in MapReduce and Beyond", SoCC 2014); no driver-side
+union-find, no graph materialization:
 
-* state = label rows ``(node, label)`` starting at label = node, plus
-  message rows, all routed by ``node % P``;
-* each round is ONE fused receive->update->send kernel per coarse
-  partition (one ``groupby(key % P)`` co-locates a node's label row,
-  its incoming messages and its outgoing edge rows — no Dataset join,
-  no second shuffle): min incoming message updates the label, the
-  updated label is merged onto each incident edge and emitted pre-min'd
-  per target, already routed to the target's partition for next round;
-* DELTA messaging (Pregel vote-to-halt): after the round-0 seed wave
-  only nodes whose label just changed re-send, so message volume decays
-  to O(frontier); zero messages emitted == exact convergence (labels
-  only decrease and delivery is guaranteed next round); rounds needed =
-  max distance from a cluster's min-id node + 2 (tiny for near-dup
-  clusters).
+* the state is the EDGE SET itself: every round rewrites the edges so
+  that each component contracts towards a star centred on its minimum
+  node (no per-node label rows travel between rounds);
+* a LARGE-STAR round reads every edge from both ends: with m(u) =
+  min(u, neighbours of u), every neighbour v > u is relinked to m(u);
+* a SMALL-STAR round reads every edge from its larger end: u and all
+  its smaller neighbours are relinked to the smallest of them;
+* the two alternate, each ONE coarse ``groupby(u % P)`` shuffle with a
+  numpy kernel per partition. Neither round adds edges, and the pair
+  converges in O(log^2 n) rounds, O(log n) in practice: a 600-node path
+  with scrambled ids takes 19 rounds, where min-label propagation needs
+  one round per hop;
+* halt: two consecutive rounds change no edge. The edges then form a
+  star forest centred on each component's minimum, and one last
+  shuffle labels every node with its star centre (itself if it has no
+  edge).
 
-Per round: ONE shuffle over |V| + 2|E| + |msgs| fixed-width rows. The
-DuckDB oracle walks the same closure with a recursive CTE and takes the
-same group-wise min — hash-green, not rows-only.
+Per round: ONE shuffle over at most 2|E| int64 rows. The DuckDB oracle
+walks the same closure with a recursive CTE and takes the same
+group-wise min — hash-green, not rows-only.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -37,104 +42,110 @@ import pyarrow as pa
 
 
 DEFAULT_PARTITIONS = 64
+# connected_components shuffles at most one partition per this many
+# rows (see the adaptive-coarseness note there).
+ROWS_PER_PARTITION = 4096
 
 
-def _round_part(g: pd.DataFrame, partitions: int,
-                send_all: bool) -> pd.DataFrame:
-    """ONE fused BSP round over one coarse hash partition of the
-    (label rows ∪ incoming message rows ∪ edge rows) union — every
-    node's label row, its incoming messages and its outgoing edges all
-    land here together (their routing key is the node id, same
-    modulus). Receive -> update -> send, fully vectorized:
+def _dedupe(u: np.ndarray, v: np.ndarray):
+    """Rows ``(u, v)`` sorted by (u, v) without duplicates, plus a mask
+    of each u segment's first row — the row holding u's minimum v."""
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    keep = np.ones(len(u), dtype=bool)
+    keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    u, v = u[keep], v[keep]
+    first = np.ones(len(u), dtype=bool)
+    first[1:] = u[1:] != u[:-1]
+    return u, v, first
 
-    1. receive: min incoming message per node (one pandas groupby);
-    2. update: new label = min(own label, received min);
-    3. send (DELTA messaging, Pregel vote-to-halt): only nodes whose
-       label CHANGED this round (every node on round 0, ``send_all``)
-       merge their updated label onto their incident edges, pre-min'd
-       per target (combiner) and routed with ``pk = target %
-       partitions`` so the NEXT round's single shuffle delivers it —
-       after the first wave, shuffle volume is O(frontier), not O(E).
 
-    4. POINTER JUMPING (the long-diameter accelerator): a node whose
-       label changed to ``w != self`` also emits a JUMP QUERY row
-       (``v == -3``) routed to w's partition; the next round answers
-       it with w's CURRENT label (as an ordinary min message back to
-       the requester, only when it improves). Plain min-propagation
-       needs O(component diameter) rounds — a DBSCAN giant component
-       at 450k points needs hundreds — while label chasing collapses
-       long chains to tens of rounds (measured 300+ -> 24 on the
-       bench-scale eps-graph); on tiny-diameter graphs (near-dup
-       clusters, host graphs) nothing changes after round ~2, so the
-       extra rows vanish with the frontier.
+def _induce(u: np.ndarray, v: np.ndarray):
+    """Drop the node marker rows (``u == v``) and every edge row whose
+    routing end u has no marker. Applied once at each end of an edge,
+    this leaves the subgraph induced by the nodes: an edge with an end
+    outside them joins nothing."""
+    mark = u == v
+    keep = ~mark & np.isin(u, u[mark])
+    return u[keep], v[keep]
 
-    Emits new label rows (``v == -1``), message rows (``v == -2``)
-    and jump-query rows (``v == -3``); the static edge rows are NOT
-    re-emitted (the caller re-unions them). Nodes outside `nodes`
-    have no label row, so edges from them drop out of the inner
-    merge. Every step is synchronous and deterministic, so the result
-    (and every intermediate round) is partition-count independent."""
-    labs = g.loc[g["v"] == -1, ["key", "label"]]
-    msgs = g.loc[g["v"] == -2, ["key", "label"]]
-    qrys = g.loc[g["v"] == -3, ["key", "label"]] \
-        .rename(columns={"label": "req"})
-    edges = g.loc[g["v"] >= 0, ["key", "v"]]
-    cur_key = labs["key"].to_numpy(dtype=np.int64)
-    cur_lab = labs["label"].to_numpy(dtype=np.int64).copy()
-    changed = np.full(len(labs), send_all)
-    if len(msgs):
-        # positional int64 update — NEVER a left merge: the NaN fill
-        # for message-less nodes forces float64 and silently rounds
-        # labels above 2^53 (bit-exact for small doc_ids, wrong for
-        # 63-bit host hashes)
-        mm = msgs.groupby("key", sort=False, as_index=False)["label"].min()
-        mkey = mm["key"].to_numpy(dtype=np.int64)
-        mval = mm["label"].to_numpy(dtype=np.int64)
-        order = np.argsort(cur_key, kind="mergesort")
-        ins = np.searchsorted(cur_key[order], mkey)
-        ins = np.minimum(ins, len(cur_key) - 1) if len(cur_key) else ins
-        pos = order[ins] if len(cur_key) else ins
-        valid = len(cur_key) > 0 and cur_key[pos] == mkey
-        if np.any(valid):
-            pos, mval = pos[valid], mval[valid]
-            upd = mval < cur_lab[pos]
-            cur_lab[pos[upd]] = mval[upd]
-            changed[pos[upd]] = True
-    cur = pd.DataFrame({"key": cur_key, "label": cur_lab})
-    senders = cur[changed]
-    em = edges.merge(senders, on="key", how="inner")
-    out_m = pd.DataFrame({"key": em["v"].to_numpy(dtype=np.int64),
-                          "label": em["label"].to_numpy(dtype=np.int64)})
-    # answer last round's jump queries: the requester learns this
-    # node's CURRENT label as an ordinary min message (only when it
-    # improves on the label-node id the requester was chasing)
-    if len(qrys):
-        ans = qrys.merge(cur, on="key", how="inner")
-        better = ans["label"].to_numpy(dtype=np.int64) \
-            < ans["key"].to_numpy(dtype=np.int64)
-        ans = ans[better]
-        if len(ans):
-            out_m = pd.concat([out_m, pd.DataFrame({
-                "key": ans["req"].to_numpy(dtype=np.int64),
-                "label": ans["label"].to_numpy(dtype=np.int64)})],
-                ignore_index=True)
-    if len(out_m):
-        out_m = out_m.groupby("key", sort=False, as_index=False)["label"] \
-            .min()
-    # new jump queries from this round's frontier (skip roots)
-    jq = senders[senders["label"].to_numpy(dtype=np.int64)
-                 != senders["key"].to_numpy(dtype=np.int64)]
-    node = np.concatenate([cur["key"].to_numpy(dtype=np.int64),
-                           out_m["key"].to_numpy(dtype=np.int64),
-                           jq["label"].to_numpy(dtype=np.int64)])
-    label = np.concatenate([cur["label"].to_numpy(dtype=np.int64),
-                            out_m["label"].to_numpy(dtype=np.int64),
-                            jq["key"].to_numpy(dtype=np.int64)])
-    v = np.concatenate([np.full(len(cur), -1, dtype=np.int64),
-                        np.full(len(out_m), -2, dtype=np.int64),
-                        np.full(len(jq), -3, dtype=np.int64)])
-    return pd.DataFrame({"key": node, "label": label, "v": v,
-                         "pk": node % partitions})
+
+def _large_star(u: np.ndarray, v: np.ndarray):
+    """Large-star over edge rows routed by either end u: relink every
+    neighbour v > u to m(u) = min(u, neighbours of u). Returns the new
+    edges as (hi, lo), hi > lo, and which of them changed: those where
+    m(u) != u."""
+    u, v, first = _dedupe(u, v)
+    m = np.minimum(u, v[first][np.cumsum(first) - 1])
+    up = v > u
+    return v[up], m[up], m[up] != u[up]
+
+
+def _small_star(u: np.ndarray, v: np.ndarray):
+    """Small-star over edge rows routed by their larger end u (every
+    v < u): relink u and all its smaller neighbours to m, the smallest
+    of them. Returns the new edges as (hi, lo), hi > lo, and which of
+    them changed: only where u had more than one smaller neighbour."""
+    u, v, first = _dedupe(u, v)
+    m = v[first][np.cumsum(first) - 1]
+    moved = v != m
+    hi = np.concatenate([v[moved], u[first]])
+    lo = np.concatenate([m[moved], v[first]])
+    chg = np.concatenate([np.ones(int(moved.sum()), dtype=bool),
+                          np.zeros(int(first.sum()), dtype=bool)])
+    return hi, lo, chg
+
+
+def _rows(u: np.ndarray, v: np.ndarray, chg: np.ndarray,
+          partitions: int) -> dict:
+    return {"u": u, "v": v, "pk": u % partitions,
+            "chg": chg.astype(np.int64)}
+
+
+def _induce_part(g: dict, partitions: int) -> dict:
+    """First half of the induced-subgraph filter: keep the edge rows
+    whose routing end is a node and route them by their other end."""
+    u, v = _induce(g["u"], g["v"])
+    return _rows(v, u, np.zeros(len(u), dtype=bool), partitions)
+
+
+def _star_part(g: dict, large: bool, induce: bool,
+               partitions: int) -> dict:
+    """ONE large- or small-star round over one coarse partition; the
+    output is routed for the other kind of round. Large-star output
+    goes by its larger end (small-star reads each edge there);
+    small-star output goes both ways (large-star reads each edge from
+    both ends). ``induce`` finishes the induced-subgraph filter on the
+    first round. Every step is per-node and deterministic, so the
+    result of every round is independent of the partition count."""
+    u, v = g["u"], g["v"]
+    if induce:
+        u, v = _induce(u, v)
+    if large:
+        hi, lo, chg = _large_star(u, v)
+        return _rows(hi, lo, chg, partitions)
+    hi, lo, chg = _small_star(u, v)
+    return _rows(np.concatenate([hi, lo]), np.concatenate([lo, hi]),
+                 np.concatenate([chg, np.zeros(len(chg), dtype=bool)]),
+                 partitions)
+
+
+def _label_part(g: dict) -> dict:
+    """Label every node marker with its star centre: the min of the
+    node and its neighbours (a leaf's one neighbour is the centre; a
+    centre's neighbours are all larger; a node without an edge keeps
+    its own id)."""
+    u, v = g["u"], g["v"]
+    mark = u == v
+    node = u[mark]
+    eu, ev, first = _dedupe(u[~mark], v[~mark])
+    eu, emin = eu[first], ev[first]
+    pos = np.searchsorted(eu, node)
+    hit = pos < len(eu)
+    hit[hit] = eu[pos[hit]] == node[hit]
+    cluster = node.copy()
+    cluster[hit] = np.minimum(node[hit], emin[pos[hit]])
+    return {"node": node, "cluster_id": cluster}
 
 
 def connected_components(nodes_ds, edges_ds, node_col: str = "node",
@@ -142,52 +153,33 @@ def connected_components(nodes_ds, edges_ds, node_col: str = "node",
                          max_rounds: int = 64,
                          partitions: int = DEFAULT_PARTITIONS):
     """Cluster ids for every node: ``(node, cluster_id)`` with
-    cluster_id = min node id in the connected component.
+    cluster_id = min node id in the connected component of the
+    subgraph induced by ``nodes_ds`` (edges with an end outside it are
+    ignored). One output row per input node row.
 
-    ONE coarse shuffle per round (``groupby(key % P)`` over label +
-    message + edge rows): the fused round kernel receives messages,
-    updates labels and emits next-round messages already routed to the
-    target's partition, so there is no second per-round shuffle and no
+    Alternating large-star/small-star rounds, each ONE coarse shuffle
+    (``groupby(u % P)``) with a numpy kernel per partition — no
     fine-key ``groupby(node)`` (Ray's per-group apply costs ~0.4 ms on
-    ~1-row groups). P should scale ~ with cluster cores; the result is
-    partition-count independent."""
-    from ray.data.aggregate import Sum
-
+    ~1-row groups). ``max_rounds`` counts large- and small-star rounds
+    alike; past it a ``RuntimeError`` reports the changed-edge count of
+    every round. Labels are int64-exact at any magnitude (sorts and
+    searchsorted only, no NaN-filling merge), and the result is
+    independent of the partition count."""
     def to_sym(b: pa.Table) -> pa.Table:
         a = b.column(a_col).to_numpy(zero_copy_only=False).astype(np.int64)
         bb = b.column(b_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        key = np.concatenate([a, bb])
-        return pa.table({
-            "key": pa.array(key),
-            "label": pa.array(np.full(2 * len(a), -1, dtype=np.int64)),
-            "v": pa.array(np.concatenate([bb, a])),
-        })
+        loop = a == bb  # a self-loop joins nothing (and u == v marks nodes)
+        a, bb = a[~loop], bb[~loop]
+        return pa.table({"u": np.concatenate([a, bb]),
+                         "v": np.concatenate([bb, a])})
 
-    def init_labels(b: pa.Table) -> pa.Table:
-        n = b.column(node_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "key": pa.array(n),
-            "label": pa.array(n),
-            "v": pa.array(np.full(len(n), -1, dtype=np.int64)),
-        })
-
-    def to_arrow(d: pd.DataFrame) -> pa.Table:
-        # arrow-normalize before the next round's union with the arrow
-        # edge blocks (mixed block types assert in the shuffle reducer)
-        return pa.table({c: pa.array(d[c].to_numpy(), type=pa.int64())
-                         for c in ("key", "label", "v", "pk")})
-
-    def msg_count_partial(b: pa.Table) -> pa.Table:
-        # messages AND in-flight jump queries keep the loop alive: a
-        # query emitted with no messages can still produce an
-        # improving answer next round, so halting on -2 alone would
-        # stop one improvement short
-        vv = b.column("v").to_numpy(zero_copy_only=False)
-        m = (vv == -2) | (vv == -3)
-        return pa.table({"s": pa.array([int(m.sum())], type=pa.int64())})
+    def to_marks(b: pa.Table) -> pa.Table:
+        n = b.column(node_col).to_numpy(zero_copy_only=False) \
+            .astype(np.int64)
+        return pa.table({"u": n, "v": n})
 
     sym0 = edges_ds.map_batches(to_sym, batch_format="pyarrow").materialize()
-    state0 = nodes_ds.map_batches(init_labels,
+    marks0 = nodes_ds.map_batches(to_marks,
                                   batch_format="pyarrow").materialize()
 
     # Adaptive coarseness: the per-round shuffle cost is in-blocks x
@@ -196,50 +188,49 @@ def connected_components(nodes_ds, edges_ds, node_col: str = "node",
     # fixed costs per round. The result is partition-count independent
     # (pytest-pinned), so clamp P to the graph size — counts are free
     # (both inputs just materialized); 100-TB graphs keep the caller's
-    # P. The pk routing key is attached only now (it depends on P), and
-    # both inputs are coalesced to P blocks so every later round moves
-    # ~2*P x P objects instead of in_blocks x P.
-    n_rows = sym0.count() + state0.count()
-    partitions = min(partitions, max(4, n_rows // 4096 + 1))
+    # P. Both inputs are coalesced to P blocks, and every round's
+    # output is repartitioned back to P, so each round moves ~P x P
+    # objects.
+    n_edges = sym0.count()
+    partitions = min(partitions, max(
+        4, (n_edges + marks0.count()) // ROWS_PER_PARTITION + 1))
 
     def add_pk(b: pa.Table) -> pa.Table:
-        k = b.column("key").to_numpy(zero_copy_only=False)
-        return b.append_column("pk", pa.array(k % partitions,
-                                              type=pa.int64()))
+        u = b.column("u").to_numpy(zero_copy_only=False)
+        return pa.table({"u": b.column("u"), "v": b.column("v"),
+                         "pk": pa.array(u % partitions),
+                         "chg": pa.array(np.zeros(len(u), dtype=np.int64))})
 
-    sym = sym0.repartition(partitions) \
+    # node markers feed the first round and the final labels
+    marks = marks0.repartition(partitions) \
         .map_batches(add_pk, batch_format="pyarrow").materialize()
-    state = state0.repartition(partitions) \
-        .map_batches(add_pk, batch_format="pyarrow").materialize()
+    state = marks
+    if n_edges:
+        sym = sym0.repartition(partitions) \
+            .map_batches(add_pk, batch_format="pyarrow")
+        # lazy: runs inside round 0's execution
+        state = marks.union(sym).groupby("pk").map_groups(
+            partial(_induce_part, partitions=partitions),
+            batch_format="numpy")
+        changed = []
+        for rnd in range(max_rounds):
+            inp = marks.union(state) if rnd == 0 else state
+            state = inp.groupby("pk").map_groups(
+                partial(_star_part, large=rnd % 2 == 0, induce=rnd == 0,
+                        partitions=partitions),
+                batch_format="numpy").repartition(partitions).materialize()
+            changed.append(int(state.sum("chg") or 0))
+            if rnd and changed[-1] == changed[-2] == 0:
+                break
+        else:
+            raise RuntimeError(
+                f"connected_components did not converge in {max_rounds} "
+                f"rounds; changed edges per round: {changed}")
+        state = marks.union(state)
 
-    out = state
-    for rnd in range(max_rounds):
-        send_all = rnd == 0
-        out = state.union(sym).groupby("pk") \
-            .map_groups(lambda g: _round_part(g, partitions, send_all),
-                        batch_format="pandas") \
-            .map_batches(to_arrow, batch_format="pandas").materialize()
-        n_msgs = out.map_batches(msg_count_partial,
-                                 batch_format="pyarrow") \
-            .aggregate(Sum("s"))["sum(s)"] or 0
-        state = out
-        # exact halt: messages are only sent by nodes whose label just
-        # changed (plus the round-0 seed wave) and delivery is min-
-        # applied next round — zero messages in flight means no label
-        # can ever change again
-        if n_msgs == 0:
-            break
-    else:
-        raise RuntimeError(
-            f"connected_components did not converge in {max_rounds} rounds")
-
-    def rename(b: pa.Table) -> pa.Table:
-        lab = pa.array(b.column("v").to_numpy(zero_copy_only=False) == -1)
-        b = b.filter(lab)
-        return pa.table({"node": b.column("key"),
-                         "cluster_id": b.column("label")})
-
-    return out.map_batches(rename, batch_format="pyarrow")
+    return state.groupby("pk").map_groups(_label_part,
+                                          batch_format="numpy") \
+        .repartition(partitions)
 
 
 def duplicate_clusters(ds, threshold: float = 0.8, ngram: int = 5,

@@ -21,7 +21,7 @@ copies (identical text, ids +2M, every 17th doc).
 
 Scale notes: stage flags are per-batch; exact dedup and the near-dup
 label attach are coarse hash-partition kernels; the LSH/cluster stage
-is the banded `minhash_lsh_pairs` + BSP `connected_components`
+is the banded `minhash_lsh_pairs` + `connected_components`
 composition; decontamination probes a broadcast gram set. The chained
 branches re-derive their upstream lazily (no full-corpus
 materialization); the per-stage survivor filter is the only thing that

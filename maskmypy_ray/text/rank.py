@@ -222,7 +222,7 @@ _H63 = (1 << 63) - 1
 def _hash63(hosts) -> np.ndarray:
     """First 8 md5 bytes per host masked to 63 bits — int64-safe on
     both sides (SQL: ``md5_number_upper(host) & (2^63 - 1)``), so the
-    min-label propagation order agrees bit-for-bit."""
+    component minima agree bit-for-bit."""
     from .corpus import _host_hash64
 
     return (_host_hash64(list(hosts))
@@ -237,9 +237,9 @@ def host_components(pages_ds, links: int = LINKS_PER_DOC,
     :func:`host_rank` (same synthesized edge rule, same one-join
     resolution).
 
-    Scale shape: hosts enter the BSP min-label propagation
+    Scale shape: hosts enter the large-star/small-star rounds
     (:func:`maskmypy_ray.text.clusters.connected_components` — one
-    fused coarse shuffle per round, Pregel delta messaging) as content
+    coarse shuffle per round over the edge set) as content
     hashes, so no driver-side host dictionary exists at any point; the
     final hash->host attachment is one coarse partition merge over the
     (host, hash) map rows."""

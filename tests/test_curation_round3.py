@@ -151,6 +151,133 @@ def test_connected_components_chain(ray_session):
     assert len(got) == n
 
 
+def _min_labels(nodes, edges):
+    """Union-find twin over arbitrary int ids: node -> min node id of
+    its component in the subgraph induced by ``nodes``."""
+    parent = {int(x): int(x) for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        a, b = int(a), int(b)
+        if a in parent and b in parent:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return {x: find(x) for x in parent}
+
+
+def _scrambled_path(n):
+    """Path ids i*2654435761 mod 2^40 (they wrap past ~414 nodes), with
+    the min at one end: the worst case for label propagation."""
+    ids = (np.arange(n, dtype=np.int64) * 2_654_435_761) % (1 << 40)
+    ids[0] = 3
+    return ids
+
+
+def _cc_frames(ray, nodes, a, b):
+    return (ray.data.from_arrow(pa.table({"node": pa.array(
+                np.asarray(nodes, dtype=np.int64))})),
+            ray.data.from_arrow(pa.table({
+                "doc_a": pa.array(np.asarray(a, dtype=np.int64)),
+                "doc_b": pa.array(np.asarray(b, dtype=np.int64))})))
+
+
+def test_connected_components_induced_subgraph(ray_session):
+    """An edge with an end outside ``nodes`` joins nothing: components
+    are those of the induced subgraph (union-find twin), also where an
+    outside node bridges two inside components."""
+    from maskmypy_ray.text.clusters import connected_components
+
+    rng = np.random.default_rng(5)
+    members = rng.choice(np.arange(100, 200), 60, replace=False)
+    a = rng.integers(100, 200, 70)
+    b = rng.integers(100, 200, 70)
+    # explicit bridges through outsiders 7 and 8: member-7-member, 8-8
+    m0, m1 = int(members[0]), int(members[1])
+    a = np.concatenate([a, [m0, 7, 8]])
+    b = np.concatenate([b, [7, m1, 8]])
+    nodes, eds = _cc_frames(ray_session, members, a, b)
+    got = connected_components(nodes, eds).to_pandas()
+    want = _min_labels(members, zip(a, b))
+    assert len(got) == len(members)
+    assert dict(zip(got["node"].tolist(), got["cluster_id"].tolist())) \
+        == want
+    assert {7, 8}.isdisjoint(got["node"].tolist())
+
+
+def test_connected_components_partition_independent(ray_session,
+                                                    monkeypatch):
+    """The 600-node scrambled path gives the union-find answer at 4 and
+    at 7 partitions. The graph-size clamp would run both at 4, so it is
+    lifted; the output block count shows which P ran."""
+    from maskmypy_ray.text import clusters
+
+    monkeypatch.setattr(clusters, "ROWS_PER_PARTITION", 1)
+    ids = _scrambled_path(600)
+    want = _min_labels(ids, zip(ids[:-1], ids[1:]))
+    runs = []
+    for p in (4, 7):
+        nodes, eds = _cc_frames(ray_session, ids, ids[:-1], ids[1:])
+        out = clusters.connected_components(nodes, eds,
+                                            partitions=p).materialize()
+        assert out.num_blocks() == p
+        got = out.to_pandas().sort_values("node").reset_index(drop=True)
+        assert dict(zip(got["node"].tolist(),
+                        got["cluster_id"].tolist())) == want
+        runs.append(got)
+    assert runs[0].equals(runs[1])
+
+
+def test_connected_components_block_count_held(ray_session):
+    """Every round's output is coalesced back to P blocks, so a
+    many-round input ends at P blocks (the state used to gain P blocks
+    per round)."""
+    from maskmypy_ray.text.clusters import connected_components
+
+    ids = _scrambled_path(120)
+    nodes, eds = _cc_frames(ray_session, ids, ids[:-1], ids[1:])
+    out = connected_components(nodes, eds, partitions=4).materialize()
+    assert out.num_blocks() <= 4
+    assert (out.to_pandas()["cluster_id"] == ids.min()).all()
+
+
+def test_connected_components_error_reports_rounds(ray_session):
+    """Non-convergence names the changed-edge count of every round: on
+    the 600-path, round 1 (large-star) relinks every edge (u, v > u)
+    whose u has a smaller neighbour; round 2 (small-star) relinks all
+    but the smallest of each node's smaller neighbours."""
+    import re
+
+    from maskmypy_ray.text.clusters import connected_components
+
+    ids = _scrambled_path(600)
+    nbr = {int(x): set() for x in ids}
+    for a, b in zip(ids[:-1].tolist(), ids[1:].tolist()):
+        nbr[a].add(b)
+        nbr[b].add(a)
+    m = {u: min(vs | {u}) for u, vs in nbr.items()}
+    large = [(v, m[u]) for u, vs in nbr.items() for v in vs if v > u]
+    smaller = {}
+    for hi, lo in set(large):
+        smaller.setdefault(hi, set()).add(lo)
+    want = [sum(1 for u, vs in nbr.items() for v in vs
+                if v > u and m[u] != u),
+            sum(len(s) - 1 for s in smaller.values())]
+    nodes, eds = _cc_frames(ray_session, ids, ids[:-1], ids[1:])
+    with pytest.raises(RuntimeError, match="did not converge in 2 rounds") \
+            as e:
+        connected_components(nodes, eds, max_rounds=2)
+    got = re.search(r"changed edges per round: \[(\d+), (\d+)\]",
+                    str(e.value))
+    assert got is not None, str(e.value)
+    assert [int(got.group(1)), int(got.group(2))] == want
+
+
 # ---------------------------------------------------------------------------
 # Exact distributed quantiles
 # ---------------------------------------------------------------------------
