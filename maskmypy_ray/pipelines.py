@@ -1,15 +1,42 @@
-"""End-to-end pipelines + the driver-facing query registry.
+"""Driver-facing query registry: one table of operators, one of rows.
 
-Each ``q_*`` function takes ``sf_dir`` and returns a Ray Dataset (or a
-small pyarrow/pandas result). The matching DuckDB oracle SQL lives in
-:func:`oracle_queries`. Column names match between both sides — the
-driver sorts columns by name before value-hashing.
+``OPS`` holds every per-operator query once, as an :class:`Op`: its
+engine function (``sf_dir`` -> Ray Dataset, pyarrow Table or pandas
+frame) and the builder of its DuckDB oracle SQL. The builder is ``None``
+for the rows-only operators, whose outputs are not SQL-expressible
+(approximate search, fake media decode, layout passes). ``FULL_QUERIES``
+and :func:`full_oracle_queries` are this table.
+
+``ROWS`` holds the 50 rows the driver checks (``QUERIES`` and
+:func:`oracle_queries`). A row is one of:
+
+- the name of a single operator;
+- a tagged union, :class:`Row` ``(schema, parts)``: a typed ``pa.Schema``
+  plus a list of :class:`Part` ``(tag, op, cols)``. Each part projects
+  one operator's output onto the schema, column by column: a source
+  column name, a :class:`Const` or an exact int64 :class:`Pack`. Both
+  sides of the union are generated from that one spec: the engine
+  projection (:func:`_project`) and the SQL ``SELECT '<tag>' AS part,
+  CAST(<src> AS <type>) AS <out>`` (:func:`_part_sql`), so both are cast
+  to the declared schema. A part whose result is not a plain projection
+  of its operator brings its own engine function and/or oracle;
+- a hand-written ``Row(fn=..., sql=...)`` pair: ``geoparse`` through the
+  full flagship pipeline and the horizontal joins ``evaluate`` and
+  ``text_signals``.
+
+Adding an operator is one ``OPS`` entry; putting it on the driver panel
+is one ``Part`` in an existing row. Column names match between both
+sides — the driver sorts columns by name before value-hashing.
 
 Ray is assumed to be initialised by the caller (driver/test fixture);
 nothing here calls ``ray.init``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+from datetime import datetime
 
 import numpy as np
 import pyarrow as pa
@@ -19,12 +46,26 @@ from .analysis.aggregates import summarize_k
 from .analysis.displacement import displacement, summarize_displacement
 from .analysis.k_anonymity import calculate_k
 from .analysis.nnd import nnd
-from .constants import DEFAULT_SEED
+from .constants import DEFAULT_SEED, X_MAX, X_MIN, Y_MAX, Y_MIN
+from .rng import sql_substream, sql_uniform01
+from .sim.kmeans import kmeans_sql
+from .sketches import cms_sql, hll_sql, int_histogram_sql, source_token_hll_sql
 from .sources.boundary import boundary_polygon_set
 from .sources.webpages import read_addresses, read_webpages
 from .stages.donut import donut, donut_contained
+from .stages.events import LATE_ARRIVAL_STREAM, LATE_DELAY_US, window_anomaly_sql
 from .stages.geoparse import geoparse
+from .stages.raster import RASTER_H, RASTER_W
 from .stages.suppress import suppress
+from .text.corpus import SAMPLE_K_SRC_STREAM
+from .text.curate import curate_corpus_sql
+from .text.dsir import dsir_sql
+from .text.lines import dedup_lines_sql, line_filter_sql
+from .text.lm import bm25_search_sql, zipf_fit_sql
+from .text.quality import trimmed_source_stats_sql
+from .text.rank import LINKS_PER_DOC
+from .text.snapshots import snapshot_delta_sql
+
 
 SEED = DEFAULT_SEED
 LOW, HIGH = 100.0, 500.0
@@ -53,7 +94,8 @@ def k_ds(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# Driver queries (each: sf_dir -> Dataset | pandas | pyarrow)
+# Per-operator queries: each ``q_*`` maps sf_dir -> Dataset | pandas |
+# pyarrow, each ``_*_sql`` builds the matching DuckDB oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -350,32 +392,6 @@ def q_voronoi(sf_dir: str):
     return masked.map_batches(check, batch_format="pyarrow")
 
 
-QUERIES = {
-    "webpages": q_webpages,
-    "geoparse": q_geoparse,
-    "text_byte_identity": q_text_byte_identity,
-    "donut_uniform": q_donut_uniform,
-    "donut_areal": q_donut_areal,
-    "donut_gaussian": q_donut_gaussian,
-    "donut_contained": q_donut_contained,
-    "displacement": q_displacement,
-    "displacement_summary": q_displacement_summary,
-    "central_drift": q_central_drift,
-    "k_anonymity": q_k_anonymity,
-    "k_satisfaction": q_k_satisfaction,
-    "k_summary": q_k_summary,
-    "nnd": q_nnd,
-    "addresses": q_addresses,
-    "suppress": q_suppress,
-    "locationswap": q_locationswap,
-    "street_mask": q_street,
-    "street_mask_sharded": q_street_sharded,
-    "street_k": q_street_k,
-    "snap_to_streets": q_snap_to_streets,
-    "voronoi": q_voronoi,
-}
-
-
 def _masked_sql(dist: str = "uniform") -> str:
     return oracle.donut_cte(SEED, LOW, HIGH, dist)
 
@@ -402,64 +418,140 @@ def _k_sql() -> str:
             "  GROUP BY f.doc_id\n)")
 
 
-def oracle_queries() -> dict[str, str]:
-    return {
-        "webpages": f"WITH {oracle.pages_cte(SEED)} SELECT url, warc_ts, text, lang FROM pages",
-        "geoparse": f"WITH {oracle.points_cte(SEED)} SELECT url, lat, lon, x, y, cell FROM points",
-        "text_byte_identity": (
-            f"WITH {oracle.points_cte(SEED)} SELECT url, text FROM points"),
-        "donut_uniform": f"WITH {_masked_sql('uniform')} SELECT url, mx, my FROM masked",
-        "donut_areal": f"WITH {_masked_sql('areal')} SELECT url, mx, my FROM masked",
-        # gaussian: DuckDB's ln/cos drift <= 1 ulp from numpy, so the
-        # compare rounds to 4 dp on BOTH sides (drift ~1e-13 m).
-        "donut_gaussian": (
-            f"WITH {_masked_sql('gaussian')} SELECT url, "
-            "round(mx, 4) AS mx, round(my, 4) AS my FROM masked"),
-        "donut_contained": (
-            f"WITH {oracle.donut_contained_cte(SEED, LOW, HIGH)} "
-            "SELECT url, mx, my, UNMASKED FROM masked"),
-        "displacement": (
-            f"WITH {_masked_sql('uniform')} SELECT url, "
-            "sqrt((mx - x)*(mx - x) + (my - y)*(my - y)) AS _distance FROM masked"),
-        "displacement_summary": (
-            f"WITH {_contained_with_distance()} SELECT "
+def _webpages_sql() -> str:
+    return f"WITH {oracle.pages_cte(SEED)} SELECT url, warc_ts, text, lang FROM pages"
+
+
+def _geoparse_sql() -> str:
+    return f"WITH {oracle.points_cte(SEED)} SELECT url, lat, lon, x, y, cell FROM points"
+
+
+def _text_byte_identity_sql() -> str:
+    return f"WITH {oracle.points_cte(SEED)} SELECT url, text FROM points"
+
+
+def _donut_sql(dist: str) -> str:
+    return f"WITH {_masked_sql(dist)} SELECT url, mx, my FROM masked"
+
+
+def _donut_gaussian_sql() -> str:
+    # DuckDB's ln/cos drift <= 1 ulp from numpy, so the compare rounds
+    # to 4 dp on BOTH sides (drift ~1e-13 m).
+    return (f"WITH {_masked_sql('gaussian')} SELECT url, "
+            "round(mx, 4) AS mx, round(my, 4) AS my FROM masked")
+
+
+def _donut_contained_sql() -> str:
+    return (f"WITH {oracle.donut_contained_cte(SEED, LOW, HIGH)} "
+            "SELECT url, mx, my, UNMASKED FROM masked")
+
+
+def _displacement_sql() -> str:
+    return (f"WITH {_masked_sql('uniform')} SELECT url, "
+            "sqrt((mx - x)*(mx - x) + (my - y)*(my - y)) AS _distance FROM masked")
+
+
+def _displacement_summary_sql() -> str:
+    return (f"WITH {_contained_with_distance()} SELECT "
             "round(min(_distance), 6) AS displacement_min, "
             "round(max(_distance), 6) AS displacement_max, "
             "round(median(_distance), 6) AS displacement_med, "
-            "round(avg(_distance), 6) AS displacement_mean FROM flag"),
-        "central_drift": (
-            f"WITH {_masked_sql('uniform')} SELECT "
+            "round(avg(_distance), 6) AS displacement_mean FROM flag")
+
+
+def _central_drift_sql() -> str:
+    return (f"WITH {_masked_sql('uniform')} SELECT "
             "round(sqrt((avg(mx) - avg(x))*(avg(mx) - avg(x)) "
-            "+ (avg(my) - avg(y))*(avg(my) - avg(y))), 6) AS central_drift FROM masked"),
-        "k_anonymity": f"WITH {_k_sql()} SELECT doc_id, k_anonymity FROM kvals",
-        "k_satisfaction": (
-            f"WITH {_k_sql()} SELECT "
-            "round(count(CASE WHEN k_anonymity >= 5 THEN 1 END) / CAST(count(*) AS DOUBLE), 3) AS k_sat_5, "
-            "round(count(CASE WHEN k_anonymity >= 25 THEN 1 END) / CAST(count(*) AS DOUBLE), 3) AS k_sat_25, "
-            "round(count(CASE WHEN k_anonymity >= 50 THEN 1 END) / CAST(count(*) AS DOUBLE), 3) AS k_sat_50 "
-            "FROM kvals"),
-        "k_summary": (
-            f"WITH {_k_sql()} SELECT "
-            "CAST(min(k_anonymity) AS BIGINT) AS k_min, "
-            "CAST(max(k_anonymity) AS BIGINT) AS k_max, "
-            "round(median(k_anonymity), 2) AS k_med, "
-            "round(avg(k_anonymity), 2) AS k_mean FROM kvals"),
-        "nnd": (
-            f"WITH {oracle.points_cte(SEED)}, nn AS (\n"
-            "  SELECT p.doc_id, min(sqrt((p.x - q.x)*(p.x - q.x) + (p.y - q.y)*(p.y - q.y))) AS nnd\n"
-            "  FROM points p JOIN points q ON p.doc_id <> q.doc_id GROUP BY p.doc_id\n)"
-            " SELECT round(min(nnd), 6) AS nnd_min, round(max(nnd), 6) AS nnd_max, "
-            "round(avg(nnd), 6) AS nnd_mean FROM nn"),
-        "addresses": (
-            f"WITH {oracle.addresses_cte(SEED)} SELECT addr_id, lat, lon FROM addresses"),
-        "locationswap": (
-            f"WITH {oracle.locationswap_cte(SEED, LOW, HIGH)} "
-            "SELECT url, mx, my, UNMASKED FROM swapped"),
-        "suppress": (
-            f"WITH {_k_sql()} SELECT f.url, "
+            "+ (avg(my) - avg(y))*(avg(my) - avg(y))), 6) AS central_drift FROM masked")
+
+
+def _k_anonymity_sql() -> str:
+    return f"WITH {_k_sql()} SELECT doc_id, k_anonymity FROM kvals"
+
+
+def _k_satisfaction_sql() -> str:
+    return (
+        f"WITH {_k_sql()} SELECT "
+        "round(count(CASE WHEN k_anonymity >= 5 THEN 1 END) / CAST(count(*) AS DOUBLE), 3) AS k_sat_5, "
+        "round(count(CASE WHEN k_anonymity >= 25 THEN 1 END) / CAST(count(*) AS DOUBLE), 3) AS k_sat_25, "
+        "round(count(CASE WHEN k_anonymity >= 50 THEN 1 END) / CAST(count(*) AS DOUBLE), 3) AS k_sat_50 "
+        "FROM kvals")
+
+
+def _k_summary_sql() -> str:
+    return (
+        f"WITH {_k_sql()} SELECT "
+        "CAST(min(k_anonymity) AS BIGINT) AS k_min, "
+        "CAST(max(k_anonymity) AS BIGINT) AS k_max, "
+        "round(median(k_anonymity), 2) AS k_med, "
+        "round(avg(k_anonymity), 2) AS k_mean FROM kvals")
+
+
+def _nnd_sql() -> str:
+    return (
+        f"WITH {oracle.points_cte(SEED)}, nn AS (\n"
+        "  SELECT p.doc_id, min(sqrt((p.x - q.x)*(p.x - q.x) + (p.y - q.y)*(p.y - q.y))) AS nnd\n"
+        "  FROM points p JOIN points q ON p.doc_id <> q.doc_id GROUP BY p.doc_id\n)"
+        " SELECT round(min(nnd), 6) AS nnd_min, round(max(nnd), 6) AS nnd_max, "
+        "round(avg(nnd), 6) AS nnd_mean FROM nn")
+
+
+def _addresses_sql() -> str:
+    return f"WITH {oracle.addresses_cte(SEED)} SELECT addr_id, lat, lon FROM addresses"
+
+
+def _locationswap_sql() -> str:
+    return (f"WITH {oracle.locationswap_cte(SEED, LOW, HIGH)} "
+            "SELECT url, mx, my, UNMASKED FROM swapped")
+
+
+def _suppress_sql() -> str:
+    return (f"WITH {_k_sql()} SELECT f.url, "
             "CASE WHEN k.k_anonymity < 50 THEN 'TRUE' ELSE 'FALSE' END AS SUPPRESSED "
-            "FROM flag f JOIN kvals k ON f.doc_id = k.doc_id"),
-    }
+            "FROM flag f JOIN kvals k ON f.doc_id = k.doc_id")
+
+
+def _street_k_sql() -> str:
+    # like voronoi, the driver pins the engine's per-row invariants
+    # (output on a graph node unless suppressed/fallback; SUPPRESSED ==
+    # k < min_k) to 1 — the walk itself is pytest-pinned.
+    return (f"WITH {oracle.points_cte(SEED)} "
+            "SELECT url, CAST(1 AS BIGINT) AS on_node, "
+            "CAST(1 AS BIGINT) AS sup_ok FROM points")
+
+
+def _street_mask_sql() -> str:
+    # snap-node assignment is fully SQL (node table + validity peel +
+    # argmin join); on_node pins the engine's independent
+    # output-on-graph membership check to 1. The single-region sharded
+    # loader equals the broadcast graph, so both share this oracle.
+    return (f"WITH {oracle.points_cte(SEED)},\n{oracle.road_nodes_cte(SEED)},\n"
+            f"{oracle.street_snap_cte(SEED)} "
+            "SELECT url, snap_node, CAST(1 AS BIGINT) AS on_node FROM street_snap")
+
+
+def _snap_to_streets_sql() -> str:
+    # full value oracle: argmin-distance join of the donut-masked
+    # points against the node table
+    return (
+        f"WITH {oracle.donut_cte(SEED, LOW, HIGH, 'uniform')},\n"
+        f"{oracle.road_nodes_cte(SEED)},\n"
+        "msk AS MATERIALIZED (SELECT url, mx, my FROM masked),\n"
+        "sn AS (\n"
+        "  SELECT m.url, n.x, n.y,\n"
+        "         row_number() OVER (\n"
+        "           PARTITION BY m.url\n"
+        "           ORDER BY (n.x - m.mx)*(n.x - m.mx) + (n.y - m.my)*(n.y - m.my), n.node_id\n"
+        "         ) AS rk\n"
+        "  FROM msk m CROSS JOIN nodes n\n"
+        ") SELECT url, x AS mx, y AS my FROM sn WHERE rk = 1")
+
+
+def _voronoi_sql() -> str:
+    # invariant oracle: the engine's independent brute-force on-diagram
+    # check must hold for every point
+    return (f"WITH {oracle.points_cte(SEED)} "
+            "SELECT url, CAST(1 AS BIGINT) AS on_boundary FROM points")
 
 
 # ---------------------------------------------------------------------------
@@ -719,36 +811,6 @@ def q_media_decode(sf_dir: str):
         ["url", "height", "width"])
 
 
-QUERIES.update({
-    "token_stats": q_token_stats,
-    "quality_score": q_quality_score,
-    "lang_id": q_lang_id,
-    "fingerprint": q_fingerprint,
-    "dedup_exact": q_dedup_exact,
-    "dedup_jaccard": q_dedup_jaccard,
-    "dedup_jaccard_ngram": q_dedup_jaccard_ngram,
-    "token_count": q_token_count,
-    "repetition": q_repetition,
-    "source_stats": q_source_stats,
-    "quality_filter": q_quality_filter,
-    "ngram_topk": q_ngram_topk,
-    "sample_mix": q_sample_mix,
-    "dedup_spans": q_dedup_spans,
-    "decontaminate": q_decontaminate,
-    "fingerprint_winnow": q_fingerprint_winnow,
-    "dedup_minhash": q_dedup_minhash,
-    "dedup_simhash": q_dedup_simhash,
-    "embedding_pairs": q_embedding_pairs,
-    "ann_topk": q_ann_topk,
-    "ann_lsh": q_ann_lsh,
-    "ann_ivf": q_ann_ivf,
-    "ann_pairs_lsh": q_ann_pairs_lsh,
-    "dedup_semantic": q_dedup_semantic,
-    "media_metadata": q_media_metadata,
-    "media_decode": q_media_decode,
-})
-
-
 def _token_count_sql() -> str:
     from .text.quality import BPE_RE, WS_RE
 
@@ -893,81 +955,73 @@ def _lang_sql() -> str:
             f"SELECT doc_id, {case} AS lang_pred FROM c")
 
 
-def _training_oracles() -> dict[str, str]:
-    tok = f"regexp_extract_all(lower(text), '{_TOKEN_RE_SQL}')"
-    stop = f"regexp_extract_all(lower(text), '{_STOP_RE_SQL}')"
-    ratio = ("CASE WHEN len(" + tok + ") > 0 THEN len(" + stop
-             + ") / CAST(greatest(len(" + tok + "), 1) AS DOUBLE) ELSE 0.0 END")
-    return {
-        "token_stats": (
-            f"SELECT doc_id, CAST(len({tok}) AS BIGINT) AS n_tokens, "
-            f"CAST(len({stop}) AS BIGINT) AS n_stopwords, "
-            f"{ratio} AS stop_ratio FROM documents"),
-        "quality_score": (
-            f"SELECT doc_id, least(len({tok}) / 50.0, 1.0) * 0.5 "
-            f"+ least(({ratio}) * 5.0, 1.0) * 0.5 AS quality_score "
-            "FROM documents"),
-        "lang_id": _lang_sql(),
-        "fingerprint": (
-            f"SELECT doc_id, md5(array_to_string(list_sort(list_distinct({tok})), ' ')) "
-            "AS fingerprint FROM documents"),
-        "dedup_exact": (
-            "SELECT md5(text) AS h, min(doc_id) AS keeper FROM documents "
-            "GROUP BY md5(text)"),
-        "dedup_jaccard": (
-            f"WITH tk AS (SELECT doc_id, list_distinct({tok}) AS t FROM documents), "
-            "p AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, "
-            "len(list_intersect(a.t, b.t)) AS i, len(a.t) AS la, len(b.t) AS lb "
-            "FROM tk a JOIN tk b ON a.doc_id < b.doc_id) "
-            "SELECT doc_a, doc_b, i / CAST(la + lb - i AS DOUBLE) AS sim FROM p "
-            "WHERE i / CAST(la + lb - i AS DOUBLE) >= 0.9"),
-        "embedding_pairs": (
-            "SELECT a.vec_id AS vec_a, b.vec_id AS vec_b FROM embeddings a "
+_TOK_SQL = f"regexp_extract_all(lower(text), '{_TOKEN_RE_SQL}')"
+_STOP_SQL = f"regexp_extract_all(lower(text), '{_STOP_RE_SQL}')"
+_STOP_RATIO_SQL = ("CASE WHEN len(" + _TOK_SQL + ") > 0 THEN len(" + _STOP_SQL
+                   + ") / CAST(greatest(len(" + _TOK_SQL + "), 1) AS DOUBLE) ELSE 0.0 END")
+_QUALITY_SQL = (f"least(len({_TOK_SQL}) / 50.0, 1.0) * 0.5 "
+                f"+ least(({_STOP_RATIO_SQL}) * 5.0, 1.0) * 0.5")
+
+
+def _token_stats_sql() -> str:
+    return (f"SELECT doc_id, CAST(len({_TOK_SQL}) AS BIGINT) AS n_tokens, "
+            f"CAST(len({_STOP_SQL}) AS BIGINT) AS n_stopwords, "
+            f"{_STOP_RATIO_SQL} AS stop_ratio FROM documents")
+
+
+def _quality_score_sql() -> str:
+    return f"SELECT doc_id, {_QUALITY_SQL} AS quality_score FROM documents"
+
+
+def _fingerprint_sql() -> str:
+    return (f"SELECT doc_id, md5(array_to_string(list_sort(list_distinct({_TOK_SQL})), ' ')) "
+            "AS fingerprint FROM documents")
+
+
+def _dedup_exact_sql() -> str:
+    return ("SELECT md5(text) AS h, min(doc_id) AS keeper FROM documents "
+            "GROUP BY md5(text)")
+
+
+def _dedup_jaccard_sql() -> str:
+    return (
+        f"WITH tk AS (SELECT doc_id, list_distinct({_TOK_SQL}) AS t FROM documents), "
+        "p AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, "
+        "len(list_intersect(a.t, b.t)) AS i, len(a.t) AS la, len(b.t) AS lb "
+        "FROM tk a JOIN tk b ON a.doc_id < b.doc_id) "
+        "SELECT doc_a, doc_b, i / CAST(la + lb - i AS DOUBLE) AS sim FROM p "
+        "WHERE i / CAST(la + lb - i AS DOUBLE) >= 0.9")
+
+
+def _embedding_pairs_sql() -> str:
+    return ("SELECT a.vec_id AS vec_a, b.vec_id AS vec_b FROM embeddings a "
             "JOIN embeddings b ON a.vec_id < b.vec_id "
-            "WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.4"),
-        "ann_topk": (
-            "WITH q AS (SELECT vec_id, embedding FROM embeddings WHERE vec_id < 20), "
-            "s AS (SELECT q.vec_id AS query_id, e.vec_id, "
-            "list_cosine_similarity(q.embedding, e.embedding) AS sim "
-            "FROM q JOIN embeddings e ON e.vec_id <> q.vec_id), "
-            "r AS (SELECT query_id, vec_id, CAST(row_number() OVER "
-            "(PARTITION BY query_id ORDER BY sim DESC, vec_id ASC) AS BIGINT) AS rank "
-            "FROM s) SELECT query_id, rank, vec_id FROM r WHERE rank <= 10"),
-        "evaluate": _evaluate_sql(),
-        "dedup_jaccard_ngram": oracle.jaccard_ngram_sql(threshold=0.8),
-        "token_count": _token_count_sql(),
-        "repetition": _repetition_sql(),
-        "source_stats": _source_stats_sql(),
-        "quality_filter": _quality_filter_sql(),
-        "ngram_topk": _ngram_topk_sql(k=20),
-        "sample_mix": _sample_mix_sql(SEED),
-        "dedup_spans": _dedup_spans_sql(k=15),
-        "decontaminate": _decontaminate_sql(n=5, mod=97),
-        "fingerprint_winnow": oracle.winnow_sql(k=5, w=4),
-        "dedup_minhash": oracle.minhash_pairs_sql(threshold=0.8),
-        "dedup_simhash": oracle.simhash_pairs_sql(max_hamming=3),
-        "ripleys_k": oracle.ripley_sql(SEED, simulations=19, steps=10),
-        "media_metadata": None,  # filled in oracle_queries (needs pages CTE)
-    }
+            "WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.4")
 
 
-_BASE_ORACLE_QUERIES = oracle_queries
+def _ann_topk_sql() -> str:
+    return (
+        "WITH q AS (SELECT vec_id, embedding FROM embeddings WHERE vec_id < 20), "
+        "s AS (SELECT q.vec_id AS query_id, e.vec_id, "
+        "list_cosine_similarity(q.embedding, e.embedding) AS sim "
+        "FROM q JOIN embeddings e ON e.vec_id <> q.vec_id), "
+        "r AS (SELECT query_id, vec_id, CAST(row_number() OVER "
+        "(PARTITION BY query_id ORDER BY sim DESC, vec_id ASC) AS BIGINT) AS rank "
+        "FROM s) SELECT query_id, rank, vec_id FROM r WHERE rank <= 10")
 
 
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends the base set
-    out = _BASE_ORACLE_QUERIES()
-    extra = _training_oracles()
-    extra["media_metadata"] = (
-        f"WITH {oracle.pages_cte(SEED)} SELECT url, "
-        "CAST(octet_length(encode('<html><body>' || text || '</body></html>')) AS BIGINT) "
-        "AS media_bytes, "
-        "md5('<html><body>' || text || '</body></html>') AS media_md5 FROM pages")
-    out.update(extra)
-    return out
+_MEDIA_HTML_SQL = "'<html><body>' || text || '</body></html>'"
+
+
+def _media_metadata_sql() -> str:
+    return (f"WITH {oracle.pages_cte(SEED)} SELECT url, "
+            f"CAST(octet_length(encode({_MEDIA_HTML_SQL})) AS BIGINT) "
+            "AS media_bytes, "
+            f"md5({_MEDIA_HTML_SQL}) AS media_md5 FROM pages")
 
 
 # ---------------------------------------------------------------------------
-# Remaining analysis queries (rows-only oracles: not SQL-expressible)
+# Analysis queries: areal k, Ripley's K, evaluate(), checkpointed runs
 # ---------------------------------------------------------------------------
 
 
@@ -1074,75 +1128,17 @@ def q_checkpointed_flagship(sf_dir: str):
     return res
 
 
-QUERIES.update({
-    "estimate_k_areal": q_estimate_k_areal,
-    "ripleys_k": q_ripley,
-    "evaluate": q_evaluate,
-    "checkpointed_flagship": q_checkpointed_flagship,
-})
+def _estimate_k_areal_sql() -> str:
+    # the SQL mirrors the engine's Green's-theorem edge kernel
+    # case-for-case (the fixture polygons ARE rectangles, so 4 edges each)
+    return (f"WITH {_contained_with_distance()},\n{oracle.areal_k_cte(SEED)} "
+            "SELECT doc_id, k_anonymity FROM areal")
 
 
-def _more_oracles() -> dict[str, str]:
-    # checkpointed_flagship == the direct contained mask: reuse its oracle.
-    return {
-        # M4 street_k: like voronoi, the driver pins the engine's per-row
-        # invariants (output on a graph node unless suppressed/fallback;
-        # SUPPRESSED == k < min_k) to 1 — the walk itself is pytest-pinned.
-        "street_k": (
-            f"WITH {oracle.points_cte(SEED)} "
-            "SELECT url, CAST(1 AS BIGINT) AS on_node, "
-            "CAST(1 AS BIGINT) AS sup_ok FROM points"),
-        "checkpointed_flagship": (
-            f"WITH {oracle.donut_contained_cte(SEED, LOW, HIGH)} "
-            "SELECT url, mx, my FROM masked"),
-        # A4 areal k over the rectangular boundary grid: the SQL mirrors
-        # the engine's Green's-theorem edge kernel case-for-case (the
-        # fixture polygons ARE rectangles, so 4 edges each).
-        "estimate_k_areal": (
-            f"WITH {_contained_with_distance()},\n{oracle.areal_k_cte(SEED)} "
-            "SELECT doc_id, k_anonymity FROM areal"),
-        # M3 street mask: snap-node assignment is fully SQL (node table +
-        # validity peel + argmin join); on_node pins the engine's
-        # independent output-on-graph membership check to 1.
-        "street_mask": (
-            f"WITH {oracle.points_cte(SEED)},\n{oracle.road_nodes_cte(SEED)},\n"
-            f"{oracle.street_snap_cte(SEED)} "
-            "SELECT url, snap_node, CAST(1 AS BIGINT) AS on_node FROM street_snap"),
-        # M3 sharded loader: single-region shard == broadcast graph, so
-        # the identical snap oracle gates the routing layer end-to-end.
-        "street_mask_sharded": (
-            f"WITH {oracle.points_cte(SEED)},\n{oracle.road_nodes_cte(SEED)},\n"
-            f"{oracle.street_snap_cte(SEED)} "
-            "SELECT url, snap_node, CAST(1 AS BIGINT) AS on_node FROM street_snap"),
-        # M7 snap-to-streets: full value oracle (argmin-distance join of
-        # the donut-masked points against the node table).
-        "snap_to_streets": (
-            f"WITH {oracle.donut_cte(SEED, LOW, HIGH, 'uniform')},\n"
-            f"{oracle.road_nodes_cte(SEED)},\n"
-            "msk AS MATERIALIZED (SELECT url, mx, my FROM masked),\n"
-            "sn AS (\n"
-            "  SELECT m.url, n.x, n.y,\n"
-            "         row_number() OVER (\n"
-            "           PARTITION BY m.url\n"
-            "           ORDER BY (n.x - m.mx)*(n.x - m.mx) + (n.y - m.my)*(n.y - m.my), n.node_id\n"
-            "         ) AS rk\n"
-            "  FROM msk m CROSS JOIN nodes n\n"
-            ") SELECT url, x AS mx, y AS my FROM sn WHERE rk = 1"),
-        # M6 voronoi: invariant oracle — the engine's independent
-        # brute-force on-diagram check must hold for every point.
-        "voronoi": (
-            f"WITH {oracle.points_cte(SEED)} "
-            "SELECT url, CAST(1 AS BIGINT) AS on_boundary FROM points"),
-    }
-
-
-_BASE_ORACLE_QUERIES2 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES2()
-    out.update(_more_oracles())
-    return out
+def _checkpointed_flagship_sql() -> str:
+    # the checkpointed run equals the direct contained mask
+    return (f"WITH {oracle.donut_contained_cte(SEED, LOW, HIGH)} "
+            "SELECT url, mx, my FROM masked")
 
 
 # ---------------------------------------------------------------------------
@@ -1196,48 +1192,34 @@ def q_sessionize(sf_dir: str):
     return sessionize(ev)
 
 
-QUERIES.update({
-    "tumbling_window": q_tumbling_window,
-    "asof_join": q_asof_join,
-    "range_join": q_range_join,
-    "sessionize": q_sessionize,
-})
-
-
-def _events_oracles() -> dict[str, str]:
-    return {
-        "tumbling_window": (
-            "SELECT user_id, epoch_us(ts) // 3600000000 AS window_id, "
+def _tumbling_window_sql() -> str:
+    return ("SELECT user_id, epoch_us(ts) // 3600000000 AS window_id, "
             "CAST(count(*) AS BIGINT) AS n_events, "
             "round(sum(value), 6) AS sum_value "
-            "FROM events GROUP BY user_id, epoch_us(ts) // 3600000000"),
-        "asof_join": (
-            "SELECT e.event_id, COALESCE((SELECT o.o_orderkey FROM orders o "
+            "FROM events GROUP BY user_id, epoch_us(ts) // 3600000000")
+
+
+def _asof_join_sql() -> str:
+    return ("SELECT e.event_id, COALESCE((SELECT o.o_orderkey FROM orders o "
             "WHERE o.o_custkey = e.user_id AND o.o_orderdate <= e.ts "
             "ORDER BY o.o_orderdate DESC, o.o_orderkey DESC LIMIT 1), -1) "
-            "AS last_orderkey FROM events e"),
-        "range_join": (
-            "SELECT e.event_id, CAST((SELECT count(*) FROM part p "
+            "AS last_orderkey FROM events e")
+
+
+def _range_join_sql() -> str:
+    return ("SELECT e.event_id, CAST((SELECT count(*) FROM part p "
             "WHERE p.p_retailprice >= 900.0 + e.value / 5.0 - 10.0 "
             "AND p.p_retailprice <= 900.0 + e.value / 5.0 + 10.0) AS BIGINT) "
-            "AS n_parts FROM events e"),
-        "sessionize": (
-            "SELECT event_id, user_id, CAST(SUM(CASE WHEN prev IS NOT NULL "
+            "AS n_parts FROM events e")
+
+
+def _sessionize_sql() -> str:
+    return ("SELECT event_id, user_id, CAST(SUM(CASE WHEN prev IS NOT NULL "
             "AND epoch_us(ts) - epoch_us(prev) > 1800000000 THEN 1 ELSE 0 END) "
             "OVER (PARTITION BY user_id ORDER BY ts, event_id "
             "ROWS UNBOUNDED PRECEDING) AS BIGINT) AS session_seq "
             "FROM (SELECT event_id, user_id, ts, lag(ts) OVER "
-            "(PARTITION BY user_id ORDER BY ts, event_id) AS prev FROM events)"),
-    }
-
-
-_BASE_ORACLE_QUERIES3 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES3()
-    out.update(_events_oracles())
-    return out
+            "(PARTITION BY user_id ORDER BY ts, event_id) AS prev FROM events)")
 
 
 # ---------------------------------------------------------------------------
@@ -1346,58 +1328,36 @@ def q_top_quality_per_source(sf_dir: str):
     return top_quality_per_source(_docs_with_source(sf_dir), k=3)
 
 
-QUERIES.update({
-    "pii_stats": q_pii_stats,
-    "pii_redact": q_pii_redact,
-    "chunk_dedup": q_chunk_dedup,
-    "dup_clusters": q_dup_clusters,
-    "quantiles": q_quantiles,
-    "hopping_window": q_hopping_window,
-    "top_quality_per_source": q_top_quality_per_source,
-})
-
-
-def _curation_oracles() -> dict[str, str]:
-    return {
-        "pii_stats": oracle.pii_stats_sql(every=5),
-        "pii_redact": oracle.pii_redact_sql(every=5),
-        "chunk_dedup": oracle.chunk_dedup_sql(size=16),
-        "dup_clusters": oracle.dup_clusters_sql(threshold=0.8, ngram=5),
-        "quantiles": (
-            "WITH s AS (SELECT l_extendedprice AS v, "
+def _quantiles_sql() -> str:
+    return ("WITH s AS (SELECT l_extendedprice AS v, "
             "row_number() OVER (ORDER BY l_extendedprice) - 1 AS r, "
             "count(*) OVER () AS n FROM lineitem), "
             "qs AS (SELECT unnest([0.01, 0.25, 0.5, 0.75, 0.99]) AS q) "
             "SELECT qs.q, s.v AS value FROM qs "
-            "JOIN s ON s.r = CAST(floor(qs.q * (s.n - 1)) AS BIGINT)"),
-        "hopping_window": (
-            "SELECT (epoch_us(ts) // 900000000 - t.i) * 900000000 AS window_start, "
+            "JOIN s ON s.r = CAST(floor(qs.q * (s.n - 1)) AS BIGINT)")
+
+
+def _hopping_window_sql() -> str:
+    return ("SELECT (epoch_us(ts) // 900000000 - t.i) * 900000000 AS window_start, "
             "event_type, CAST(count(*) AS BIGINT) AS n_events, "
             "round(sum(value), 6) AS sum_value "
             "FROM events, unnest(generate_series(0, 3)) AS t(i) "
-            "GROUP BY 1, 2"),
-        "top_quality_per_source": (
-            "WITH tok AS (SELECT doc_id, source, "
-            f"len(regexp_extract_all(lower(text), '{_TOKEN_RE_SQL}')) AS nt, "
-            f"len(regexp_extract_all(lower(text), '{_STOP_RE_SQL}')) AS ns "
-            "FROM documents), "
-            "sc AS (SELECT doc_id, source, least(nt / 50.0, 1.0) * 0.5 "
-            "+ least((CASE WHEN nt > 0 THEN ns / CAST(greatest(nt, 1) AS DOUBLE) "
-            "ELSE 0.0 END) * 5.0, 1.0) * 0.5 AS quality_score FROM tok), "
-            "rk AS (SELECT source, doc_id, quality_score, "
-            "CAST(row_number() OVER (PARTITION BY source "
-            "ORDER BY quality_score DESC, doc_id) AS BIGINT) AS rank FROM sc) "
-            "SELECT source, doc_id, quality_score, rank FROM rk WHERE rank <= 3"),
-    }
+            "GROUP BY 1, 2")
 
 
-_BASE_ORACLE_QUERIES4 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES4()
-    out.update(_curation_oracles())
-    return out
+def _top_quality_per_source_sql() -> str:
+    return (
+        "WITH tok AS (SELECT doc_id, source, "
+        f"len(regexp_extract_all(lower(text), '{_TOKEN_RE_SQL}')) AS nt, "
+        f"len(regexp_extract_all(lower(text), '{_STOP_RE_SQL}')) AS ns "
+        "FROM documents), "
+        "sc AS (SELECT doc_id, source, least(nt / 50.0, 1.0) * 0.5 "
+        "+ least((CASE WHEN nt > 0 THEN ns / CAST(greatest(nt, 1) AS DOUBLE) "
+        "ELSE 0.0 END) * 5.0, 1.0) * 0.5 AS quality_score FROM tok), "
+        "rk AS (SELECT source, doc_id, quality_score, "
+        "CAST(row_number() OVER (PARTITION BY source "
+        "ORDER BY quality_score DESC, doc_id) AS BIGINT) AS rank FROM sc) "
+        "SELECT source, doc_id, quality_score, rank FROM rk WHERE rank <= 3")
 
 
 # ---------------------------------------------------------------------------
@@ -1432,27 +1392,25 @@ def q_unigram_logprob(sf_dir: str):
     return unigram_logprob(_docs_ds(sf_dir))
 
 
-QUERIES.update({
-    "normalize_text": q_normalize_text,
-    "domain_stats": q_domain_stats,
-    "unigram_logprob": q_unigram_logprob,
-})
+_NORM_SQL = "trim(regexp_replace(lower(text), '[^a-z0-9]+', ' ', 'g'), ' ')"
 
 
-def _curation2_oracles() -> dict[str, str]:
-    norm = "trim(regexp_replace(lower(text), '[^a-z0-9]+', ' ', 'g'), ' ')"
-    return {
-        "normalize_text": (
-            f"SELECT doc_id, {norm} AS text, "
-            f"CAST(CASE WHEN {norm} <> text THEN 1 ELSE 0 END AS BIGINT) "
-            "AS changed FROM documents"),
-        "domain_stats": (
-            f"WITH {oracle.pages_cte(SEED)} "
+def _normalize_text_sql() -> str:
+    return (f"SELECT doc_id, {_NORM_SQL} AS text, "
+            f"CAST(CASE WHEN {_NORM_SQL} <> text THEN 1 ELSE 0 END AS BIGINT) "
+            "AS changed FROM documents")
+
+
+def _domain_stats_sql() -> str:
+    return (f"WITH {oracle.pages_cte(SEED)} "
             "SELECT regexp_extract(url, '^https?://([^/]+)', 1) AS host, "
             "CAST(count(*) AS BIGINT) AS n_pages, "
             "CAST(sum(length(text)) AS BIGINT) AS n_chars "
-            "FROM pages GROUP BY 1"),
-        "unigram_logprob": f"""WITH docs AS (SELECT doc_id, text FROM documents),
+            "FROM pages GROUP BY 1")
+
+
+def _unigram_logprob_sql() -> str:
+    return f"""WITH docs AS (SELECT doc_id, text FROM documents),
 tl AS (SELECT doc_id, regexp_extract_all(lower(text), '{_TOKEN_RE_SQL}') AS l FROM docs),
 tok AS (SELECT doc_id, unnest(l) AS tok FROM tl),
 cnt AS (SELECT tok, CAST(count(*) AS BIGINT) AS c FROM tok GROUP BY tok),
@@ -1470,17 +1428,7 @@ SELECT d.doc_id, COALESCE(a.n_tokens, 0) AS n_tokens,
   CASE WHEN a.n_tokens > 0
        THEN (-CAST(a.s AS DOUBLE)) / (1000000.0 * a.n_tokens)
        ELSE 0.0 END AS nll
-FROM docs d LEFT JOIN agg a ON d.doc_id = a.doc_id""",
-    }
-
-
-_BASE_ORACLE_QUERIES5 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES5()
-    out.update(_curation2_oracles())
-    return out
+FROM docs d LEFT JOIN agg a ON d.doc_id = a.doc_id"""
 
 
 def q_dedup_survivors(sf_dir: str):
@@ -1494,24 +1442,9 @@ def q_dedup_survivors(sf_dir: str):
         batch_format="pyarrow")
 
 
-QUERIES.update({"dedup_survivors": q_dedup_survivors})
-
-
-def _curation3_oracles() -> dict[str, str]:
-    return {
-        "dedup_survivors": (
-            f"SELECT node AS doc_id FROM ({oracle.dup_clusters_sql(0.8, 5)}) "
-            "WHERE node = cluster_id"),
-    }
-
-
-_BASE_ORACLE_QUERIES6 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES6()
-    out.update(_curation3_oracles())
-    return out
+def _dedup_survivors_sql() -> str:
+    return (f"SELECT node AS doc_id FROM ({oracle.dup_clusters_sql(0.8, 5)}) "
+            "WHERE node = cluster_id")
 
 
 def q_window_distinct_users(sf_dir: str):
@@ -1524,25 +1457,10 @@ def q_window_distinct_users(sf_dir: str):
     return window_distinct_users(ev)
 
 
-QUERIES.update({"window_distinct_users": q_window_distinct_users})
-
-
-def _curation4_oracles() -> dict[str, str]:
-    return {
-        "window_distinct_users": (
-            "SELECT epoch_us(ts) // 3600000000 AS window_id, "
+def _window_distinct_users_sql() -> str:
+    return ("SELECT epoch_us(ts) // 3600000000 AS window_id, "
             "CAST(count(DISTINCT user_id) AS BIGINT) AS n_users "
-            "FROM events GROUP BY 1"),
-    }
-
-
-_BASE_ORACLE_QUERIES7 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES7()
-    out.update(_curation4_oracles())
-    return out
+            "FROM events GROUP BY 1")
 
 
 def q_window_top_types(sf_dir: str):
@@ -1555,30 +1473,15 @@ def q_window_top_types(sf_dir: str):
     return window_top_types(ev)
 
 
-QUERIES.update({"window_top_types": q_window_top_types})
-
-
-def _curation5_oracles() -> dict[str, str]:
-    return {
-        "window_top_types": (
-            "WITH c AS (SELECT epoch_us(ts) // 3600000000 AS window_id, "
+def _window_top_types_sql() -> str:
+    return ("WITH c AS (SELECT epoch_us(ts) // 3600000000 AS window_id, "
             "event_type, CAST(count(*) AS BIGINT) AS n_events "
             "FROM events GROUP BY 1, 2), "
             "r AS (SELECT window_id, event_type, n_events, "
             "CAST(row_number() OVER (PARTITION BY window_id "
             "ORDER BY n_events DESC, event_type) AS BIGINT) AS rank FROM c) "
             "SELECT window_id, event_type, n_events, rank FROM r "
-            "WHERE rank <= 3"),
-    }
-
-
-_BASE_ORACLE_QUERIES8 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES8()
-    out.update(_curation5_oracles())
-    return out
+            "WHERE rank <= 3")
 
 
 # ---------------------------------------------------------------------------
@@ -1616,20 +1519,14 @@ def q_top_orders(sf_dir: str):
     return top_orders(li, od, cust)
 
 
-QUERIES.update({
-    "pricing_summary": q_pricing_summary,
-    "top_orders": q_top_orders,
-})
+def _cents_sql(col: str) -> str:
+    return f"CAST(round({col} * 100) AS BIGINT)"
 
 
-def _relational_oracles() -> dict[str, str]:
-    cents = "CAST(round({col} * 100) AS BIGINT)"
-    q = cents.format(col="l_quantity")
-    e = cents.format(col="l_extendedprice")
-    d = cents.format(col="l_discount")
-    t = cents.format(col="l_tax")
-    return {
-        "pricing_summary": f"""WITH f AS (
+def _pricing_summary_sql() -> str:
+    q, e, d, t = (_cents_sql(c) for c in
+                  ("l_quantity", "l_extendedprice", "l_discount", "l_tax"))
+    return f"""WITH f AS (
   SELECT l_returnflag, l_linestatus, {q} AS qc, {e} AS ec, {d} AS dc, {t} AS tc
   FROM lineitem WHERE epoch_us(l_shipdate) <= 991353600000000),
 a AS (
@@ -1648,9 +1545,13 @@ SELECT l_returnflag, l_linestatus,
   ext_c / (100.0 * n) AS avg_price,
   disc_c / (100.0 * n) AS avg_disc,
   n AS count_order
-FROM a""",
-        "top_orders": f"""WITH f AS (
-  SELECT l.l_orderkey, sum({e.replace('l_', 'l.l_')} * (100 - {d.replace('l_', 'l.l_')})) AS rev_e4,
+FROM a"""
+
+
+def _top_orders_sql() -> str:
+    e, d = _cents_sql("l.l_extendedprice"), _cents_sql("l.l_discount")
+    return f"""WITH f AS (
+  SELECT l.l_orderkey, sum({e} * (100 - {d})) AS rev_e4,
          epoch_us(o.o_orderdate) AS o_orderdate, o.o_orderpriority
   FROM lineitem l
   JOIN orders o ON o.o_orderkey = l.l_orderkey
@@ -1660,17 +1561,7 @@ FROM a""",
     AND epoch_us(l.l_shipdate) > 959817600000000
   GROUP BY 1, 3, 4)
 SELECT l_orderkey, rev_e4 / 10000.0 AS revenue, o_orderdate, o_orderpriority
-FROM f ORDER BY rev_e4 DESC, l_orderkey LIMIT 10""",
-    }
-
-
-_BASE_ORACLE_QUERIES9 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES9()
-    out.update(_relational_oracles())
-    return out
+FROM f ORDER BY rev_e4 DESC, l_orderkey LIMIT 10"""
 
 
 def q_filter_by_nll(sf_dir: str):
@@ -1681,28 +1572,13 @@ def q_filter_by_nll(sf_dir: str):
     return filter_by_nll(_docs_ds(sf_dir), q=0.9)
 
 
-QUERIES.update({"filter_by_nll": q_filter_by_nll})
-
-
-def _curation6_oracles() -> dict[str, str]:
-    base = _curation2_oracles()["unigram_logprob"]
-    return {
-        "filter_by_nll": (
-            f"WITH scored AS ({base}), "
-            "thr AS (SELECT nll FROM scored ORDER BY nll "
-            "LIMIT 1 OFFSET CAST(floor(0.9 * ((SELECT count(*) FROM scored) - 1)) AS BIGINT)) "
-            "SELECT doc_id, n_tokens, nll FROM scored "
-            "WHERE nll <= (SELECT nll FROM thr)"),
-    }
-
-
-_BASE_ORACLE_QUERIES10 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES10()
-    out.update(_curation6_oracles())
-    return out
+def _filter_by_nll_sql() -> str:
+    return (
+        f"WITH scored AS ({_unigram_logprob_sql()}), "
+        "thr AS (SELECT nll FROM scored ORDER BY nll "
+        "LIMIT 1 OFFSET CAST(floor(0.9 * ((SELECT count(*) FROM scored) - 1)) AS BIGINT)) "
+        "SELECT doc_id, n_tokens, nll FROM scored "
+        "WHERE nll <= (SELECT nll FROM thr)")
 
 
 def q_sample_fixed_k(sf_dir: str):
@@ -1717,27 +1593,10 @@ def q_sample_fixed_k(sf_dir: str):
     return sample_fixed_k(ds, k=100, seed=SEED)
 
 
-QUERIES.update({"sample_fixed_k": q_sample_fixed_k})
-
-
-def _curation7_oracles() -> dict[str, str]:
-    from .rng import sql_uniform01
-
+def _sample_fixed_k_sql() -> str:
     u = sql_uniform01("doc_id", SEED, 911)
-    return {
-        "sample_fixed_k": (
-            f"SELECT doc_id, u FROM (SELECT doc_id, {u} AS u FROM documents) "
-            "ORDER BY u, doc_id LIMIT 100"),
-    }
-
-
-_BASE_ORACLE_QUERIES11 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES11()
-    out.update(_curation7_oracles())
-    return out
+    return (f"SELECT doc_id, u FROM (SELECT doc_id, {u} AS u FROM documents) "
+            "ORDER BY u, doc_id LIMIT 100")
 
 
 def q_geo_scrub(sf_dir: str):
@@ -1750,27 +1609,12 @@ def q_geo_scrub(sf_dir: str):
                      .select_columns(["url", "text"]))
 
 
-QUERIES.update({"geo_scrub": q_geo_scrub})
-
-
-def _curation8_oracles() -> dict[str, str]:
+def _geo_scrub_sql() -> str:
     pat = r"(-?[0-9]{1,3}\.[0-9]{6}), (-?[0-9]{1,3}\.[0-9]{6})"
-    return {
-        "geo_scrub": (
-            f"WITH {oracle.pages_cte(SEED)} "
+    return (f"WITH {oracle.pages_cte(SEED)} "
             f"SELECT url, regexp_replace(text, '{pat}', '<GEO>', 'g') AS text, "
             f"CAST(len(regexp_extract_all(text, '{pat}')) AS BIGINT) "
-            "AS n_scrubbed FROM pages"),
-    }
-
-
-_BASE_ORACLE_QUERIES12 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES12()
-    out.update(_curation8_oracles())
-    return out
+            "AS n_scrubbed FROM pages")
 
 
 def q_source_quantiles(sf_dir: str):
@@ -1784,29 +1628,14 @@ def q_source_quantiles(sf_dir: str):
     return source_quantiles(ds)
 
 
-QUERIES.update({"source_quantiles": q_source_quantiles})
-
-
-def _curation9_oracles() -> dict[str, str]:
+def _source_quantiles_sql() -> str:
     cells = ", ".join(
         f"max(CASE WHEN r = CAST(floor({q} * (n - 1)) AS BIGINT) "
         f"THEN v END) AS q{int(q * 100)}" for q in (0.25, 0.5, 0.75))
-    return {
-        "source_quantiles": (
-            "WITH s AS (SELECT source, CAST(n_chars AS DOUBLE) AS v, "
+    return ("WITH s AS (SELECT source, CAST(n_chars AS DOUBLE) AS v, "
             "row_number() OVER (PARTITION BY source ORDER BY n_chars) - 1 AS r, "
             "count(*) OVER (PARTITION BY source) AS n FROM documents) "
-            f"SELECT source, {cells} FROM s GROUP BY source"),
-    }
-
-
-_BASE_ORACLE_QUERIES13 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES13()
-    out.update(_curation9_oracles())
-    return out
+            f"SELECT source, {cells} FROM s GROUP BY source")
 
 
 def q_media_size_quantiles(sf_dir: str):
@@ -1826,31 +1655,17 @@ def q_media_size_quantiles(sf_dir: str):
     })
 
 
-QUERIES.update({"media_size_quantiles": q_media_size_quantiles})
-
-
-def _curation10_oracles() -> dict[str, str]:
-    return {
-        "media_size_quantiles": (
-            f"WITH {oracle.pages_cte(SEED)}, "
-            "s AS (SELECT CAST(octet_length(encode('<html><body>' || text || "
-            "'</body></html>')) AS DOUBLE) AS v, "
-            "row_number() OVER (ORDER BY octet_length(encode('<html><body>' "
-            "|| text || '</body></html>'))) - 1 AS r, "
-            "count(*) OVER () AS n FROM pages), "
-            "qs AS (SELECT unnest([0.01, 0.25, 0.5, 0.75, 0.99]) AS q) "
-            "SELECT qs.q, s.v AS value FROM qs "
-            "JOIN s ON s.r = CAST(floor(qs.q * (s.n - 1)) AS BIGINT)"),
-    }
-
-
-_BASE_ORACLE_QUERIES14 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES14()
-    out.update(_curation10_oracles())
-    return out
+def _media_size_quantiles_sql() -> str:
+    return (
+        f"WITH {oracle.pages_cte(SEED)}, "
+        "s AS (SELECT CAST(octet_length(encode('<html><body>' || text || "
+        "'</body></html>')) AS DOUBLE) AS v, "
+        "row_number() OVER (ORDER BY octet_length(encode('<html><body>' "
+        "|| text || '</body></html>'))) - 1 AS r, "
+        "count(*) OVER () AS n FROM pages), "
+        "qs AS (SELECT unnest([0.01, 0.25, 0.5, 0.75, 0.99]) AS q) "
+        "SELECT qs.q, s.v AS value FROM qs "
+        "JOIN s ON s.r = CAST(floor(qs.q * (s.n - 1)) AS BIGINT)")
 
 
 # ---------------------------------------------------------------------------
@@ -1883,44 +1698,30 @@ def q_event_funnel(sf_dir: str):
     return event_funnel(ev)
 
 
-QUERIES.update({
-    "session_stats": q_session_stats,
-    "event_funnel": q_event_funnel,
-})
+def _session_stats_sql() -> str:
+    return (
+        "WITH s AS (SELECT user_id, ts, value, "
+        "SUM(CASE WHEN prev IS NOT NULL AND epoch_us(ts) - epoch_us(prev) "
+        "> 1800000000 THEN 1 ELSE 0 END) OVER (PARTITION BY user_id "
+        "ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING) AS session_seq "
+        "FROM (SELECT event_id, user_id, ts, value, lag(ts) OVER "
+        "(PARTITION BY user_id ORDER BY ts, event_id) AS prev FROM events)) "
+        "SELECT user_id, CAST(session_seq AS BIGINT) AS session_seq, "
+        "CAST(count(*) AS BIGINT) AS n_events, "
+        "CAST(max(epoch_us(ts)) - min(epoch_us(ts)) AS BIGINT) AS duration_us, "
+        "round(sum(value), 6) AS sum_value "
+        "FROM s GROUP BY user_id, session_seq")
 
 
-def _round4_oracles() -> dict[str, str]:
-    return {
-        "session_stats": (
-            "WITH s AS (SELECT user_id, ts, value, "
-            "SUM(CASE WHEN prev IS NOT NULL AND epoch_us(ts) - epoch_us(prev) "
-            "> 1800000000 THEN 1 ELSE 0 END) OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING) AS session_seq "
-            "FROM (SELECT event_id, user_id, ts, value, lag(ts) OVER "
-            "(PARTITION BY user_id ORDER BY ts, event_id) AS prev FROM events)) "
-            "SELECT user_id, CAST(session_seq AS BIGINT) AS session_seq, "
-            "CAST(count(*) AS BIGINT) AS n_events, "
-            "CAST(max(epoch_us(ts)) - min(epoch_us(ts)) AS BIGINT) AS duration_us, "
-            "round(sum(value), 6) AS sum_value "
-            "FROM s GROUP BY user_id, session_seq"),
-        "event_funnel": (
-            "WITH a AS (SELECT user_id, min(epoch_us(ts)) AS a_ts "
-            "FROM events WHERE event_type = 'view' GROUP BY user_id) "
-            "SELECT a.user_id, a.a_ts, min(epoch_us(e.ts)) AS b_ts "
-            "FROM a JOIN events e ON e.user_id = a.user_id "
-            "AND e.event_type = 'purchase' AND epoch_us(e.ts) > a.a_ts "
-            "AND epoch_us(e.ts) <= a.a_ts + 86400000000 "
-            "GROUP BY a.user_id, a.a_ts"),
-    }
-
-
-_BASE_ORACLE_QUERIES15 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES15()
-    out.update(_round4_oracles())
-    return out
+def _event_funnel_sql() -> str:
+    return (
+        "WITH a AS (SELECT user_id, min(epoch_us(ts)) AS a_ts "
+        "FROM events WHERE event_type = 'view' GROUP BY user_id) "
+        "SELECT a.user_id, a.a_ts, min(epoch_us(e.ts)) AS b_ts "
+        "FROM a JOIN events e ON e.user_id = a.user_id "
+        "AND e.event_type = 'purchase' AND epoch_us(e.ts) > a.a_ts "
+        "AND epoch_us(e.ts) <= a.a_ts + 86400000000 "
+        "GROUP BY a.user_id, a.a_ts")
 
 
 def q_hll_users(sf_dir: str):
@@ -1936,24 +1737,6 @@ def q_hll_users(sf_dir: str):
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "event_type"])
     return hll_distinct(ev, "user_id", "event_type")
-
-
-QUERIES.update({"hll_distinct": q_hll_users})
-
-
-def _round4b_oracles() -> dict[str, str]:
-    from .sketches import hll_sql
-
-    return {"hll_distinct": hll_sql("events", "user_id", "event_type")}
-
-
-_BASE_ORACLE_QUERIES16 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES16()
-    out.update(_round4b_oracles())
-    return out
 
 
 def q_weighted_sample(sf_dir: str):
@@ -1988,33 +1771,28 @@ def q_host_blocklist_filter(sf_dir: str):
         .select_columns(["doc_id", "url", "text"]))
 
 
-QUERIES.update({
-    "weighted_sample": q_weighted_sample,
-    "host_cap_sample": q_host_cap_sample,
-    "host_blocklist_filter": q_host_blocklist_filter,
-})
+_HOST_SQL = "regexp_extract(url, '^https?://([^/]+)', 1)"
 
 
-def _round4c_oracles() -> dict[str, str]:
-    from .rng import sql_substream, sql_uniform01
-
+def _weighted_sample_sql() -> str:
     sub = sql_substream("doc_id", SEED, 913)
-    u = sql_uniform01("doc_id", SEED, 912)
-    host = "regexp_extract(url, '^https?://([^/]+)', 1)"
-    return {
-        "weighted_sample": (
-            f"SELECT doc_id, n_chars FROM documents "
+    return (f"SELECT doc_id, n_chars FROM documents "
             f"WHERE ({sub}) * (SELECT max(n_chars) FROM documents) "
-            f"< n_chars * 4294967296"),
-        "host_cap_sample": (
-            f"WITH {oracle.pages_cte(SEED)}, "
-            f"h AS (SELECT doc_id, {host} AS host, {u} AS u FROM pages), "
+            f"< n_chars * 4294967296")
+
+
+def _host_cap_sample_sql() -> str:
+    u = sql_uniform01("doc_id", SEED, 912)
+    return (f"WITH {oracle.pages_cte(SEED)}, "
+            f"h AS (SELECT doc_id, {_HOST_SQL} AS host, {u} AS u FROM pages), "
             "rk AS (SELECT doc_id, host, row_number() OVER "
             "(PARTITION BY host ORDER BY u, doc_id) AS rk FROM h) "
-            "SELECT doc_id, host FROM rk WHERE rk <= 10"),
-        "host_blocklist_filter": (
-            f"WITH {oracle.pages_cte(SEED)}, "
-            f"ph AS (SELECT doc_id, {host} AS host, "
+            "SELECT doc_id, host FROM rk WHERE rk <= 10")
+
+
+def _host_blocklist_filter_sql() -> str:
+    return (f"WITH {oracle.pages_cte(SEED)}, "
+            f"ph AS (SELECT doc_id, {_HOST_SQL} AS host, "
             "CAST(length(text) AS BIGINT) AS nc FROM pages), "
             "hs AS (SELECT host, CAST(sum(nc) AS BIGINT) AS c "
             "FROM ph GROUP BY 1), "
@@ -2022,17 +1800,7 @@ def _round4c_oracles() -> dict[str, str]:
             "CAST(sum(c) AS BIGINT) AS t FROM hs), "
             "blk AS (SELECT host FROM hs, tot WHERE c * nh > t) "
             "SELECT doc_id, host FROM ph "
-            "WHERE host NOT IN (SELECT host FROM blk)"),
-    }
-
-
-_BASE_ORACLE_QUERIES17 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES17()
-    out.update(_round4c_oracles())
-    return out
+            "WHERE host NOT IN (SELECT host FROM blk)")
 
 
 def q_cross_corpus_dedup(sf_dir: str):
@@ -2042,22 +1810,6 @@ def q_cross_corpus_dedup(sf_dir: str):
     from .text.dedup import cross_corpus_flags, with_mutated_copies
 
     return cross_corpus_flags(with_mutated_copies(_docs_ds(sf_dir)))
-
-
-QUERIES.update({"cross_corpus_dedup": q_cross_corpus_dedup})
-
-
-def _round4d_oracles() -> dict[str, str]:
-    return {"cross_corpus_dedup": oracle.cross_corpus_sql()}
-
-
-_BASE_ORACLE_QUERIES18 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES18()
-    out.update(_round4d_oracles())
-    return out
 
 
 def q_media_frames(sf_dir: str):
@@ -2073,9 +1825,6 @@ def q_media_frames(sf_dir: str):
         ["url", "frame_idx"])
 
 
-QUERIES.update({"media_frames": q_media_frames})
-
-
 _CMS_PROBES = ["the", "merge", "join", "sort", "batch", "spark", "window",
                "data", "table", "row", "column", "value", "key", "query",
                "scan", "filter"]
@@ -2088,24 +1837,6 @@ def q_cms_counts(sf_dir: str):
     from .sketches import cms_token_counts
 
     return cms_token_counts(_docs_ds(sf_dir), _CMS_PROBES)
-
-
-QUERIES.update({"cms_counts": q_cms_counts})
-
-
-def _round4e_oracles() -> dict[str, str]:
-    from .sketches import cms_sql
-
-    return {"cms_counts": cms_sql("documents", _CMS_PROBES)}
-
-
-_BASE_ORACLE_QUERIES19 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES19()
-    out.update(_round4e_oracles())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -2143,14 +1874,7 @@ def q_outlier_flags(sf_dir: str):
     return source_outlier_flags(ds)
 
 
-QUERIES.update({
-    "url_dedup": q_url_dedup,
-    "tfidf_topk": q_tfidf_topk,
-    "outlier_flags": q_outlier_flags,
-})
-
-
-def _round4f_oracles() -> dict[str, str]:
+def _url_dedup_sql() -> str:
     utm = "?utm_source=feed&utm_medium=rss"
     pfx = "regexp_extract(raw_url, '(?i)^https?://[^/]+')"
     rest = "regexp_replace(raw_url, '(?i)^https?://[^/]+', '')"
@@ -2160,23 +1884,25 @@ def _round4f_oracles() -> dict[str, str]:
         "WHEN 1 THEN upper(regexp_extract(url, '^https?://[^/]+')) || "
         "regexp_replace(url, '^https?://[^/]+', '') || '#top' "
         "WHEN 2 THEN url || '/' ELSE url END")
-    return {
-        "url_dedup": (
-            f"WITH {oracle.pages_cte(SEED)}, "
-            "fetches AS ("
-            f"SELECT doc_id * 2 AS fetch_id, doc_id, "
-            f"{messy.format(m='doc_id')} AS raw_url FROM pages "
-            "UNION ALL "
-            f"SELECT doc_id * 2 + 1, doc_id, "
-            f"{messy.format(m='(doc_id + 1)')} AS raw_url FROM pages "
-            "WHERE doc_id % 5 = 0), "
-            "canon AS (SELECT fetch_id, doc_id, "
-            f"lower({pfx}) || regexp_replace(regexp_replace({rest}, "
-            "'[?#].*$', ''), '/+$', '') AS canonical_url FROM fetches) "
-            "SELECT canonical_url, min(fetch_id) AS kept_fetch_id, "
-            "min(doc_id) AS doc_id, CAST(count(*) AS BIGINT) AS n_fetches "
-            "FROM canon GROUP BY canonical_url"),
-        "tfidf_topk": f"""WITH tl AS (
+    return (
+        f"WITH {oracle.pages_cte(SEED)}, "
+        "fetches AS ("
+        f"SELECT doc_id * 2 AS fetch_id, doc_id, "
+        f"{messy.format(m='doc_id')} AS raw_url FROM pages "
+        "UNION ALL "
+        f"SELECT doc_id * 2 + 1, doc_id, "
+        f"{messy.format(m='(doc_id + 1)')} AS raw_url FROM pages "
+        "WHERE doc_id % 5 = 0), "
+        "canon AS (SELECT fetch_id, doc_id, "
+        f"lower({pfx}) || regexp_replace(regexp_replace({rest}, "
+        "'[?#].*$', ''), '/+$', '') AS canonical_url FROM fetches) "
+        "SELECT canonical_url, min(fetch_id) AS kept_fetch_id, "
+        "min(doc_id) AS doc_id, CAST(count(*) AS BIGINT) AS n_fetches "
+        "FROM canon GROUP BY canonical_url")
+
+
+def _tfidf_topk_sql() -> str:
+    return f"""WITH tl AS (
   SELECT doc_id, regexp_extract_all(lower(text), '{_TOKEN_RE_SQL}') AS l
   FROM documents),
 tok AS (SELECT doc_id, unnest(l) AS tok FROM tl),
@@ -2196,8 +1922,11 @@ rk AS (SELECT *, row_number() OVER
          (PARTITION BY doc_id ORDER BY score_micro DESC, tok) AS rank
        FROM sc)
 SELECT doc_id, CAST(rank AS BIGINT) AS rank, tok AS token, score_micro
-FROM rk WHERE rank <= 3""",
-        "outlier_flags": """WITH r AS (
+FROM rk WHERE rank <= 3"""
+
+
+def _outlier_flags_sql() -> str:
+    return """WITH r AS (
   SELECT source, n_chars,
     row_number() OVER (PARTITION BY source ORDER BY n_chars) - 1 AS rk,
     count(*) OVER (PARTITION BY source) AS n
@@ -2213,406 +1942,13 @@ SELECT d.doc_id, d.source, d.n_chars,
   CAST(CASE WHEN 2 * d.n_chars < 5 * q.q25 - 3 * q.q75 THEN -1
             WHEN 2 * d.n_chars > 5 * q.q75 - 3 * q.q25 THEN 1
             ELSE 0 END AS BIGINT) AS flag
-FROM documents d JOIN q USING (source)""",
-    }
-
-
-_BASE_ORACLE_QUERIES20 = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — extends again
-    out = _BASE_ORACLE_QUERIES20()
-    out.update(_round4f_oracles())
-    return out
+FROM documents d JOIN q USING (source)"""
 
 
 # ---------------------------------------------------------------------------
-# Round-5 consolidated registry.
-#
-# The graft driver's correctness panel records at most 50 queries per
-# round (observed: 50 rows in both CORRECTNESS_r03/r04 against 74 and 88
-# registered queries; rounds 1-2 with < 50 queries were checked in
-# full). A registry wider than the panel leaves operators without a
-# hard-signal row (VERDICT r04 top item), so the driver-facing surface
-# below merges the 88 per-operator queries into <= 50 combined queries
-# — union-with-tag for same-shaped results, horizontal join for
-# per-doc/one-row results — with the SQL oracle merged the same way, so
-# EVERY operator's values land in one checked row. The full unmerged
-# per-operator surface stays importable for tests as ``FULL_QUERIES`` /
-# ``full_oracle_queries``.
+# Round-5 operators: decontamination, retrieval, DSIR, host graph,
+# source mixing, media hashes, embeddings, layout, spatial extensions.
 # ---------------------------------------------------------------------------
-
-FULL_QUERIES = dict(QUERIES)
-full_oracle_queries = oracle_queries
-
-
-def _as_ds(res):
-    import pandas as pd
-    import ray.data
-
-    if isinstance(res, ray.data.Dataset):
-        return res
-    if isinstance(res, pd.DataFrame):
-        res = pa.Table.from_pandas(res, preserve_index=False)
-    return ray.data.from_arrow(res)
-
-
-def _tag_ds(res, part: str, spec: list):
-    """Project a part result onto the merged schema and prepend a
-    ``part`` tag column. ``spec`` entries: (out_name, in_col, pa_type)
-    — ``in_col=None`` emits a constant (the type's neutral sentinel
-    unless (out, ("const", value), type))."""
-    ds = _as_ds(res)
-
-    def project(b: pa.Table) -> pa.Table:
-        n = len(b)
-        cols = {"part": pa.array([part] * n, type=pa.string())}
-        for out, src, typ in spec:
-            if isinstance(src, tuple) and src[0] == "const":
-                cols[out] = pa.array([src[1]] * n, type=typ)
-            else:
-                c = b.column(src)
-                cols[out] = c.cast(typ) if typ is not None else c
-        return pa.table(cols)
-
-    return ds.map_batches(project, batch_format="pyarrow")
-
-
-def _union(parts: list):
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out
-
-
-def _sql_union(parts: list[tuple[str, str]]) -> str:
-    """UNION ALL of per-part oracle SQL already projected to the merged
-    schema: parts = [(part_tag, 'SELECT cols FROM (<inner>)') ...]."""
-    return "\nUNION ALL\n".join(
-        f"SELECT '{tag}' AS part, * FROM ({sql})" for tag, sql in parts)
-
-
-# -- geospatial ------------------------------------------------------------
-
-
-def q_geoparse_full(sf_dir: str):
-    """Geoparse values AND the text-byte-identity invariant through the
-    FULL flagship pipeline (merges the former ``geoparse`` +
-    ``text_byte_identity`` queries): the parsed coordinates/cell and the
-    byte-exact text must both survive mask + verify untouched."""
-    return flagship(sf_dir).select_columns(
-        ["url", "lat", "lon", "x", "y", "cell", "text"])
-
-
-def q_donut_masks(sf_dir: str):
-    """All three non-contained donut distributions in one tagged union
-    (merges donut_uniform/areal/gaussian; gaussian rounded to 4 dp on
-    both sides as before)."""
-    spec = [("url", "url", None), ("mx", "mx", None), ("my", "my", None)]
-    return _union([
-        _tag_ds(FULL_QUERIES[f"donut_{d}"](sf_dir), d, spec)
-        for d in ("uniform", "areal", "gaussian")])
-
-
-def q_containment(sf_dir: str):
-    """The two masks with an UNMASKED/containment contract (merges
-    donut_contained + locationswap)."""
-    spec = [("url", "url", None), ("mx", "mx", None), ("my", "my", None),
-            ("UNMASKED", "UNMASKED", None)]
-    return _union([
-        _tag_ds(FULL_QUERIES["donut_contained"](sf_dir), "contained", spec),
-        _tag_ds(FULL_QUERIES["locationswap"](sf_dir), "locationswap", spec)])
-
-
-def q_k_anonymity_all(sf_dir: str):
-    """Every k-anonymity plan in one tagged union (merges k_anonymity +
-    estimate_k_areal, plus the NEW ``salted`` variant — VERDICT r04 #7:
-    the hot-cell salting shuffle plan (salt=4) must reproduce the
-    unsalted oracle bit-for-bit, pinning the skew path with a hard
-    driver signal)."""
-    spec = [("doc_id", "doc_id", None), ("k_anonymity", "k_anonymity", None)]
-    salted = calculate_k(flagship(sf_dir), read_addresses(sf_dir, seed=SEED),
-                         mode="shuffle", salt=4)
-    return _union([
-        _tag_ds(FULL_QUERIES["k_anonymity"](sf_dir), "addresses", spec),
-        _tag_ds(salted, "salted", spec),
-        _tag_ds(FULL_QUERIES["estimate_k_areal"](sf_dir), "areal", spec)])
-
-
-def q_evaluate_full(sf_dir: str):
-    """evaluate() scalar stats + the absolute NND summary in ONE row
-    (merges evaluate + nnd; evaluate already subsumes
-    displacement_summary, central_drift, k_summary and k_satisfaction —
-    the reference composes them the same way, `analysis.py:49-79`)."""
-    ev = q_evaluate(sf_dir)
-    nd = q_nnd(sf_dir)
-    cols = {n: ev.column(n) for n in ev.column_names}
-    cols.update({n: nd.column(n) for n in nd.column_names})
-    return pa.table(cols)
-
-
-def q_street_masks(sf_dir: str):
-    """Street mask via the broadcast AND the sharded graph loader in one
-    tagged union (merges street_mask + street_mask_sharded — identical
-    values by contract, so one oracle gates both routing layers)."""
-    spec = [("url", "url", None), ("snap_node", "snap_node", None),
-            ("on_node", "on_node", None)]
-    return _union([
-        _tag_ds(FULL_QUERIES["street_mask"](sf_dir), "broadcast", spec),
-        _tag_ds(FULL_QUERIES["street_mask_sharded"](sf_dir), "sharded", spec)])
-
-
-def q_graph_masks(sf_dir: str):
-    """The three invariant-checked graph/diagram masks in one tagged
-    union (merges street_k + snap_to_streets + voronoi): v1/v2 carry
-    (on_node, sup_ok) for street_k, (mx, my) for snap_to_streets and
-    (on_boundary, 1) for voronoi."""
-    f64 = pa.float64()
-    return _union([
-        _tag_ds(FULL_QUERIES["street_k"](sf_dir), "street_k",
-                [("url", "url", None), ("v1", "on_node", f64),
-                 ("v2", "sup_ok", f64)]),
-        _tag_ds(FULL_QUERIES["snap_to_streets"](sf_dir), "snap",
-                [("url", "url", None), ("v1", "mx", f64), ("v2", "my", f64)]),
-        _tag_ds(FULL_QUERIES["voronoi"](sf_dir), "voronoi",
-                [("url", "url", None), ("v1", "on_boundary", f64),
-                 ("v2", ("const", 1.0), f64)])])
-
-
-# -- text signals / corpus stats -------------------------------------------
-
-
-def q_text_signals(sf_dir: str):
-    """ALL stateless per-doc text signals in one fused scan (merges
-    token_stats + quality_score + lang_id + fingerprint + token_count +
-    repetition + quality_filter + normalize_text): one read, one map
-    stage, 15 per-doc columns — the single-pass shape the standalone
-    operators compose into at scale."""
-    from .text.quality import text_signals
-
-    return text_signals(_docs_ds(sf_dir))
-
-
-def q_corpus_stats(sf_dir: str):
-    """Per-source and per-host corpus aggregates plus the pairwise
-    source-similarity matrix in one tagged union (merges source_stats +
-    domain_stats + source_similarity; the similarity part carries the
-    pair as key, matching minima as n_rows and the Jaccard estimate —
-    an exact dyadic n/64 — as avg_chars)."""
-    import pyarrow.compute as pc
-
-    i64, f64 = pa.int64(), pa.float64()
-    src = _tag_ds(FULL_QUERIES["source_stats"](sf_dir), "source",
-                  [("key", "source", None), ("n_rows", "n_docs", None),
-                   ("n_tokens", "n_tokens", None), ("n_chars", "n_chars", None),
-                   ("avg_chars", "avg_chars", None)])
-    dom = _tag_ds(FULL_QUERIES["domain_stats"](sf_dir), "host",
-                  [("key", "host", None), ("n_rows", "n_pages", None),
-                   ("n_tokens", ("const", 0), i64),
-                   ("n_chars", "n_chars", None),
-                   ("avg_chars", ("const", 0.0), f64)])
-    simt = _as_ds(FULL_QUERIES["source_similarity"](sf_dir)).map_batches(
-        lambda b: pa.table({
-            "key": pc.binary_join_element_wise(
-                b.column("source_a"), b.column("source_b"), "|"),
-            "n_rows": b.column("n_match"),
-            "n_tokens": pa.array([0] * len(b), type=i64),
-            "n_chars": pa.array([0] * len(b), type=i64),
-            "avg_chars": b.column("jaccard_est"),
-        }), batch_format="pyarrow")
-    sim = _tag_ds(simt, "similarity",
-                  [("key", "key", None), ("n_rows", "n_rows", None),
-                   ("n_tokens", "n_tokens", None), ("n_chars", "n_chars", None),
-                   ("avg_chars", "avg_chars", None)])
-    zf = FULL_QUERIES["zipf_fit"](sf_dir)
-    v = int(zf.column("n_tokens_fit")[0].as_py())
-    zrows = pa.table({
-        "part": pa.array(["zipf", "zipf"], type=pa.string()),
-        "key": pa.array(["slope", "intercept"], type=pa.string()),
-        "n_rows": pa.array([v, v], type=i64),
-        "n_tokens": pa.array([0, 0], type=i64),
-        "n_chars": pa.array([0, 0], type=i64),
-        "avg_chars": pa.array([zf.column("slope")[0].as_py(),
-                               zf.column("intercept")[0].as_py()],
-                              type=f64),
-    })
-    return _union([src, dom, sim, _as_ds(zrows)])
-
-
-def q_topk_terms(sf_dir: str):
-    """Corpus-level and per-doc term rankings plus BM25 retrieval in
-    one tagged union (merges ngram_topk + tfidf_topk + bm25_topk +
-    bm25_search; the search part carries 'q<query_id>' as term)."""
-    import pyarrow.compute as pc
-
-    i64 = pa.int64()
-    ng = _tag_ds(FULL_QUERIES["ngram_topk"](sf_dir), "corpus_bigram",
-                 [("doc_id", ("const", -1), i64), ("rank", ("const", 0), i64),
-                  ("term", "gram", None), ("score", "n", i64)])
-    doc_spec = [("doc_id", "doc_id", None), ("rank", "rank", None),
-                ("term", "token", None), ("score", "score_micro", i64)]
-    tf = _tag_ds(FULL_QUERIES["tfidf_topk"](sf_dir), "tfidf", doc_spec)
-    bm = _tag_ds(FULL_QUERIES["bm25_topk"](sf_dir), "bm25", doc_spec)
-    srch = _as_ds(FULL_QUERIES["bm25_search"](sf_dir)).map_batches(
-        lambda b: pa.table({
-            "doc_id": b.column("doc_id"),
-            "rank": b.column("rank"),
-            "token": pc.binary_join_element_wise(
-                pa.array(["q"] * len(b), type=pa.string()),
-                pc.cast(b.column("query_id"), pa.string()), ""),
-            "score_micro": b.column("score_micro"),
-        }), batch_format="pyarrow")
-    se = _tag_ds(srch, "search", doc_spec)
-    return _union([ng, tf, bm, se])
-
-
-def q_lm_scores(sf_dir: str):
-    """LM scoring family in one tagged union (merges unigram_logprob +
-    filter_by_nll + bigram_logprob + dsir_weights; the bigram part's
-    n_tokens column counts adjacent bigrams, the dsir part carries
-    n_feats as n_tokens and the int64 Gumbel resampling key as nll —
-    the cast to double is exact, |key| << 2^53)."""
-    spec = [("doc_id", "doc_id", None), ("n_tokens", "n_tokens", None),
-            ("nll", "nll", None)]
-    dsir_spec = [("doc_id", "doc_id", None), ("n_tokens", "n_feats", None),
-                 ("nll", "key_micro", pa.float64())]
-    return _union([
-        _tag_ds(FULL_QUERIES["unigram_logprob"](sf_dir), "scored", spec),
-        _tag_ds(FULL_QUERIES["filter_by_nll"](sf_dir), "kept", spec),
-        _tag_ds(FULL_QUERIES["bigram_logprob"](sf_dir), "bigram", spec),
-        _tag_ds(FULL_QUERIES["dsir_weights"](sf_dir), "dsir", dsir_spec)])
-
-
-def q_samples(sf_dir: str):
-    """The four doc-level deterministic samplers in one tagged union of
-    kept doc_ids (merges sample_mix + weighted_sample + sample_fixed_k
-    + the DSIR Gumbel top-k importance resample — the dsir part checks
-    the full weight-vector ORDERING; the values themselves are gated in
-    the lm_scores row)."""
-    spec = [("doc_id", "doc_id", None)]
-    return _union([
-        _tag_ds(FULL_QUERIES["sample_mix"](sf_dir), "mix", spec),
-        _tag_ds(FULL_QUERIES["weighted_sample"](sf_dir), "weighted", spec),
-        _tag_ds(FULL_QUERIES["sample_fixed_k"](sf_dir), "fixed_k", spec),
-        _tag_ds(FULL_QUERIES["dsir_sample"](sf_dir), "dsir", spec)])
-
-
-def q_host_filters(sf_dir: str):
-    """Host-level curation in one tagged union (merges host_cap_sample
-    + host_blocklist_filter + host_rank + host_components: the filters
-    carry v=0, the PageRank part carries doc_id=-1 and v=rank_micro,
-    the components part doc_id=-1 and v=the min-63-bit-hash label)."""
-    i64 = pa.int64()
-    spec = [("doc_id", "doc_id", None), ("host", "host", None),
-            ("v", ("const", 0), i64)]
-    rank_spec = [("doc_id", ("const", -1), i64), ("host", "host", None),
-                 ("v", "rank_micro", None)]
-    comp_spec = [("doc_id", ("const", -1), i64), ("host", "host", None),
-                 ("v", "component", None)]
-    return _union([
-        _tag_ds(FULL_QUERIES["host_cap_sample"](sf_dir), "cap", spec),
-        _tag_ds(FULL_QUERIES["host_blocklist_filter"](sf_dir), "blocklist",
-                spec),
-        _tag_ds(FULL_QUERIES["host_rank"](sf_dir), "rank", rank_spec),
-        _tag_ds(FULL_QUERIES["host_components"](sf_dir), "components",
-                comp_spec)])
-
-
-def q_pii(sf_dir: str):
-    """Text-hygiene transforms in one tagged union: part ``pii`` fuses
-    pii_stats + pii_redact in one scan over the injected corpus; part
-    ``lines`` is the C4-style line filter over the derived multi-line
-    corpus, with the merged columns carrying (n_email := n_lines,
-    n_ipv4 := n_kept, n_phone := 0, n_redacted := n_dropped) and the
-    reassembled cleaned text value-checked byte-for-byte."""
-    from .text.pii import pii_redact_batch, pii_stats_batch, with_pii
-
-    ds = with_pii(_docs_ds(sf_dir))
-
-    def both(b: pa.Table) -> pa.Table:
-        s = pii_stats_batch(b)
-        r = pii_redact_batch(b)
-        return pa.table({
-            "doc_id": s.column("doc_id"),
-            "n_email": s.column("n_email"),
-            "n_ipv4": s.column("n_ipv4"),
-            "n_phone": s.column("n_phone"),
-            "text": r.column("text"),
-            "n_redacted": r.column("n_redacted"),
-        })
-
-    pii_part = _tag_ds(
-        ds.map_batches(both, batch_format="pyarrow"), "pii",
-        [("doc_id", "doc_id", None), ("n_email", "n_email", None),
-         ("n_ipv4", "n_ipv4", None), ("n_phone", "n_phone", None),
-         ("text", "text", None), ("n_redacted", "n_redacted", None)])
-
-    import pyarrow.compute as pc
-
-    lf = _as_ds(FULL_QUERIES["line_filter"](sf_dir)).map_batches(
-        lambda b: pa.table({
-            "doc_id": b.column("doc_id"),
-            "n_email": b.column("n_lines"),
-            "n_ipv4": b.column("n_kept"),
-            "n_phone": pa.array([0] * len(b), type=pa.int64()),
-            "text": b.column("text"),
-            "n_redacted": pc.subtract(b.column("n_lines"),
-                                      b.column("n_kept")),
-        }), batch_format="pyarrow")
-    lines_part = _tag_ds(
-        lf, "lines",
-        [("doc_id", "doc_id", None), ("n_email", "n_email", None),
-         ("n_ipv4", "n_ipv4", None), ("n_phone", "n_phone", None),
-         ("text", "text", None), ("n_redacted", "n_redacted", None)])
-    return _union([pii_part, lines_part])
-
-
-def q_quantile_report(sf_dir: str):
-    """The two global distributed-quantile descents in one tagged union
-    (merges quantiles + media_size_quantiles)."""
-    qt = FULL_QUERIES["quantiles"](sf_dir)
-    mq = FULL_QUERIES["media_size_quantiles"](sf_dir)
-    return pa.table({
-        "part": pa.array(["lineitem_price"] * len(qt)
-                         + ["media_bytes"] * len(mq), type=pa.string()),
-        "q": pa.concat_arrays([qt.column("q").combine_chunks(),
-                               mq.column("q").combine_chunks()]),
-        "value": pa.concat_arrays([qt.column("value").combine_chunks(),
-                                   mq.column("value").combine_chunks()]),
-    })
-
-
-# -- dedup ------------------------------------------------------------------
-
-
-def q_jaccard_pairs(sf_dir: str):
-    """Exact all-pairs Jaccard at both granularities in one tagged union
-    (merges dedup_jaccard token-set 0.9 + dedup_jaccard_ngram
-    5-gram-shingle 0.8)."""
-    spec = [("doc_a", "doc_a", None), ("doc_b", "doc_b", None),
-            ("sim", "sim", None)]
-    return _union([
-        _tag_ds(FULL_QUERIES["dedup_jaccard"](sf_dir), "token", spec),
-        _tag_ds(FULL_QUERIES["dedup_jaccard_ngram"](sf_dir), "ngram", spec)])
-
-
-def q_dup_clusters_full(sf_dir: str):
-    """Near-dup connected components WITH the per-cluster survivor flag
-    (merges dup_clusters + dedup_survivors: survivor == (node is its
-    cluster's min id), the row production dedup keeps)."""
-    cc = _dup_clusters_materialized(sf_dir)
-
-    def with_survivor(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "node": b.column("node"),
-            "cluster_id": b.column("cluster_id"),
-            "survivor": pc.cast(pc.equal(b.column("node"),
-                                         b.column("cluster_id")), pa.int64()),
-        })
-
-    return cc.map_batches(with_survivor, batch_format="pyarrow")
 
 
 def q_ann_pq(sf_dir: str):
@@ -2622,109 +1958,6 @@ def q_ann_pq(sf_dir: str):
 
     out = pq_topk(_emb_ds(sf_dir), query_ids=list(range(20)), k=10)
     return out.select_columns(["query_id", "rank", "vec_id"])
-
-
-def q_ann_approx(sf_dir: str):
-    """The three approximate top-k paths in one tagged union (merges
-    ann_lsh + ann_ivf + ann_pq; rows-only — recall vs brute force is
-    pytest-checked)."""
-    spec = [("query_id", "query_id", None), ("rank", "rank", None),
-            ("vec_id", "vec_id", None)]
-    return _union([
-        _tag_ds(FULL_QUERIES["ann_lsh"](sf_dir), "lsh", spec),
-        _tag_ds(FULL_QUERIES["ann_ivf"](sf_dir), "ivf", spec),
-        _tag_ds(FULL_QUERIES["ann_pq"](sf_dir), "pq", spec)])
-
-
-def q_media_pipeline(sf_dir: str):
-    """Decode-stub resize AND frame-sampling layouts in one tagged union
-    (merges media_decode + media_frames; rows-only — the fake decode has
-    no SQL meaning, layout contracts are pytest-pinned)."""
-    i64 = pa.int64()
-    return _union([
-        _tag_ds(FULL_QUERIES["media_decode"](sf_dir), "decode",
-                [("url", "url", None), ("v1", "height", i64),
-                 ("v2", "width", i64)]),
-        _tag_ds(FULL_QUERIES["media_frames"](sf_dir), "frames",
-                [("url", "url", None), ("v1", "frame_idx", i64),
-                 ("v2", ("const", 0), i64)])])
-
-
-def q_sketch_counts(sf_dir: str):
-    """Both mergeable sketches in one tagged union (merges hll_distinct
-    + cms_counts)."""
-    i64, f64 = pa.int64(), pa.float64()
-    hll_spec = [("key", "grp", None), ("n1", "n_zero", None),
-                ("n2", "inv_sum_num", None), ("est", "estimate", None)]
-    hll = _tag_ds(FULL_QUERIES["hll_distinct"](sf_dir), "hll", hll_spec)
-    cms = _tag_ds(FULL_QUERIES["cms_counts"](sf_dir), "cms",
-                  [("key", "token", None), ("n1", "est_count", i64),
-                   ("n2", ("const", 0), i64), ("est", ("const", 0.0), f64)])
-    thll = _tag_ds(FULL_QUERIES["source_token_hll"](sf_dir), "token_hll",
-                   hll_spec)
-    return _union([hll, cms, thll])
-
-
-# -- events ------------------------------------------------------------------
-
-
-def q_windows(sf_dir: str):
-    """All four windowed aggregates in one tagged union (merges
-    tumbling_window + hopping_window + window_distinct_users +
-    window_top_types)."""
-    import pyarrow.compute as pc
-
-    i64, f64, s = pa.int64(), pa.float64(), pa.string()
-
-    def user_str(res):
-        ds = _as_ds(res)
-
-        def proj(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "part": pa.array(["tumbling"] * len(b), type=s),
-                "k1": b.column("window_id"),
-                "k2": pc.cast(b.column("user_id"), s),
-                "n": b.column("n_events"),
-                "v": b.column("sum_value"),
-            })
-
-        return ds.map_batches(proj, batch_format="pyarrow")
-
-    return _union([
-        user_str(FULL_QUERIES["tumbling_window"](sf_dir)),
-        _tag_ds(FULL_QUERIES["hopping_window"](sf_dir), "hopping",
-                [("k1", "window_start", None), ("k2", "event_type", None),
-                 ("n", "n_events", None), ("v", "sum_value", None)]),
-        _tag_ds(FULL_QUERIES["window_distinct_users"](sf_dir),
-                "distinct_users",
-                [("k1", "window_id", None), ("k2", ("const", ""), s),
-                 ("n", "n_users", None), ("v", ("const", 0.0), f64)]),
-        _tag_ds(FULL_QUERIES["window_top_types"](sf_dir), "top_types",
-                [("k1", "window_id", None), ("k2", "event_type", None),
-                 ("n", "n_events", None), ("v", "rank", f64)]),
-        _tag_ds(FULL_QUERIES["window_anomaly"](sf_dir), "anomaly",
-                [("k1", "window_id", None), ("k2", "event_type", None),
-                 ("n", "n_events", None), ("v", "z", None)])])
-
-
-def q_sessions(sf_dir: str):
-    """Session assignment, per-session aggregates and the conversion
-    funnel in one tagged union (merges sessionize + session_stats +
-    event_funnel)."""
-    i64, f64 = pa.int64(), pa.float64()
-    return _union([
-        _tag_ds(FULL_QUERIES["sessionize"](sf_dir), "assign",
-                [("k1", "event_id", None), ("k2", "user_id", None),
-                 ("n", "session_seq", None), ("v", ("const", 0.0), f64),
-                 ("v2", ("const", 0.0), f64)]),
-        _tag_ds(FULL_QUERIES["session_stats"](sf_dir), "stats",
-                [("k1", "user_id", None), ("k2", "session_seq", None),
-                 ("n", "n_events", None), ("v", "sum_value", None),
-                 ("v2", "duration_us", f64)]),
-        _tag_ds(FULL_QUERIES["event_funnel"](sf_dir), "funnel",
-                [("k1", "user_id", None), ("k2", ("const", 0), i64),
-                 ("n", ("const", 0), i64), ("v", "a_ts", f64),
-                 ("v2", "b_ts", f64)])])
 
 
 def q_shuffle_shards(sf_dir: str):
@@ -2739,320 +1972,38 @@ def q_shuffle_shards(sf_dir: str):
 
 
 def q_sequence_pack(sf_dir: str):
-    """BOTH corpus->dataloader layout passes in one tagged union
-    (merges sequence_pack + shuffle_shards — the two per-doc layout
-    assignments between a curated corpus and a training dataloader):
-
-    - part ``pack``: token-budget sequence packing (seq_len=512 so the
-      fixture yields multi-sequence output; range_rows=100 forces many
-      ranges, exercising the cross-range offset arithmetic) —
-      a=n_tokens, b=seq_id, c=offset;
-    - part ``shuffle``: deterministic pseudo-random shard assignment +
-      within-shard rank (keyed distributed prefix sum, stream 914) —
-      a=shard, b=pos, c=0.
-    """
+    """Token-budget sequence packing (seq_len=512 so the fixture yields
+    multi-sequence output; range_rows=100 forces many ranges,
+    exercising the cross-range offset arithmetic)."""
     from .text.corpus import sequence_pack
 
-    i64 = pa.int64()
-    return _union([
-        _tag_ds(sequence_pack(_docs_ds(sf_dir), seq_len=512,
-                              range_rows=100), "pack",
-                [("doc_id", "doc_id", None), ("a", "n_tokens", None),
-                 ("b", "seq_id", None), ("c", "offset", None)]),
-        _tag_ds(q_shuffle_shards(sf_dir), "shuffle",
-                [("doc_id", "doc_id", None), ("a", "shard", None),
-                 ("b", "pos", None), ("c", ("const", 0), i64)])])
+    return sequence_pack(_docs_ds(sf_dir), seq_len=512, range_rows=100)
 
 
-def q_temporal_joins(sf_dir: str):
-    """Both per-event temporal joins in one tagged union (merges
-    asof_join + range_join)."""
-    return _union([
-        _tag_ds(FULL_QUERIES["asof_join"](sf_dir), "asof",
-                [("event_id", "event_id", None),
-                 ("val", "last_orderkey", None)]),
-        _tag_ds(FULL_QUERIES["range_join"](sf_dir), "range",
-                [("event_id", "event_id", None), ("val", "n_parts", None)])])
-
-
-# -- merged oracle SQL -------------------------------------------------------
+def _sequence_pack_sql() -> str:
+    """Twin of ``sequence_pack``: each doc's sequence and offset from the
+    token prefix sum in doc_id order."""
+    return (
+        "WITH t AS (SELECT doc_id, CAST(len(regexp_extract_all("
+        f"lower(text), '{_TOKEN_RE_SQL}')) AS BIGINT) AS n_tokens "
+        "FROM documents), "
+        "c AS (SELECT doc_id, n_tokens, CAST(COALESCE(SUM(n_tokens) "
+        "OVER (ORDER BY doc_id ROWS BETWEEN UNBOUNDED PRECEDING AND "
+        "1 PRECEDING), 0) AS BIGINT) AS before_n FROM t) "
+        "SELECT doc_id, n_tokens, before_n // 512 AS seq_id, "
+        "before_n % 512 AS \"offset\" FROM c")
 
 
 def _shuffle_shards_sql(n_shards: int = 8) -> str:
-    """DuckDB twin of ``text.corpus.shuffle_shards`` projected onto the
-    merged layout schema (a=shard, b=pos, c=0): the engine's keyed
-    prefix sum equals a plain windowed rank over the identical
-    counter-RNG key (stream 914)."""
-    from .rng import sql_substream
-
+    """Twin of ``text.corpus.shuffle_shards``: the engine's keyed prefix
+    sum equals a plain windowed rank over the identical counter-RNG key
+    (stream 914)."""
     sub = sql_substream("doc_id", SEED, 914)
     return (
         f"WITH keyed AS (SELECT doc_id, {sub} AS skey FROM documents) "
-        f"SELECT doc_id, skey % {n_shards} AS a, "
+        f"SELECT doc_id, skey % {n_shards} AS shard, "
         f"CAST(row_number() OVER (PARTITION BY skey % {n_shards} "
-        "ORDER BY skey, doc_id) - 1 AS BIGINT) AS b, "
-        "CAST(0 AS BIGINT) AS c FROM keyed")
-
-
-def _merged_oracles() -> dict[str, str]:
-    base = full_oracle_queries()
-
-    def cast2(sql: str, c1: str, c2: str) -> str:
-        return (f"SELECT url, CAST({c1} AS DOUBLE) AS v1, "
-                f"CAST({c2} AS DOUBLE) AS v2 FROM ({sql})")
-
-    text_components = {
-        "t0": base["token_stats"],
-        "t1": base["quality_score"],
-        "t2": base["lang_id"],
-        "t3": base["fingerprint"],
-        "t4": base["token_count"],
-        "t5": base["repetition"],
-        "t6": base["quality_filter"],
-        "t7": ("SELECT doc_id, text AS norm_text, changed FROM ("
-               + base["normalize_text"] + ")"),
-    }
-    text_with = ",\n".join(f"{k} AS ({v})" for k, v in text_components.items())
-    text_signals_sql = (
-        f"WITH {text_with}\n"
-        "SELECT t0.doc_id, t0.n_tokens, t0.n_stopwords, t0.stop_ratio,\n"
-        "  t1.quality_score, t2.lang_pred, t3.fingerprint,\n"
-        "  t4.n_ws_tokens, t4.n_bpe_tokens,\n"
-        "  t5.dup_word_frac, t5.top_word_frac, t5.top_bigram_frac,\n"
-        "  t6.keep, t6.reason, t7.norm_text, t7.changed\n"
-        "FROM t0 JOIN t1 USING (doc_id) JOIN t2 USING (doc_id)\n"
-        "  JOIN t3 USING (doc_id) JOIN t4 USING (doc_id)\n"
-        "  JOIN t5 USING (doc_id) JOIN t6 USING (doc_id)\n"
-        "  JOIN t7 USING (doc_id)")
-
-    k_part = f"WITH {_k_sql()} SELECT doc_id, k_anonymity FROM kvals"
-    areal_part = (f"WITH {_contained_with_distance()},\n"
-                  f"{oracle.areal_k_cte(SEED)} "
-                  "SELECT doc_id, k_anonymity FROM areal")
-
-    return {
-        "geoparse": (f"WITH {oracle.points_cte(SEED)} "
-                     "SELECT url, lat, lon, x, y, cell, text FROM points"),
-        "donut_masks": _sql_union([
-            ("uniform", base["donut_uniform"]),
-            ("areal", base["donut_areal"]),
-            ("gaussian", base["donut_gaussian"])]),
-        "containment": _sql_union([
-            ("contained", base["donut_contained"]),
-            ("locationswap", base["locationswap"])]),
-        "k_anonymity": _sql_union([
-            ("addresses", k_part), ("salted", k_part),
-            ("areal", areal_part)]),
-        "evaluate": (f"SELECT * FROM ({_evaluate_sql()}) "
-                     f"CROSS JOIN ({base['nnd']})"),
-        "street_masks": _sql_union([
-            ("broadcast", base["street_mask"]),
-            ("sharded", base["street_mask_sharded"])]),
-        "graph_masks": _sql_union([
-            ("street_k", cast2(base["street_k"], "on_node", "sup_ok")),
-            ("snap", cast2(base["snap_to_streets"], "mx", "my")),
-            ("voronoi", cast2(base["voronoi"], "on_boundary", "1.0"))]),
-        "text_signals": text_signals_sql,
-        "corpus_stats": _sql_union([
-            ("source", "SELECT source AS key, n_docs AS n_rows, n_tokens, "
-                       "n_chars, avg_chars FROM ("
-                       + base["source_stats"] + ")"),
-            ("host", "SELECT host AS key, n_pages AS n_rows, "
-                     "CAST(0 AS BIGINT) AS n_tokens, n_chars, "
-                     "0.0 AS avg_chars FROM (" + base["domain_stats"] + ")"),
-            ("similarity", "SELECT source_a || '|' || source_b AS key, "
-                           "n_match AS n_rows, CAST(0 AS BIGINT) AS n_tokens, "
-                           "CAST(0 AS BIGINT) AS n_chars, "
-                           "jaccard_est AS avg_chars FROM ("
-                           + base["source_similarity"] + ")"),
-            ("zipf", "SELECT u.key, z.n_tokens_fit AS n_rows, "
-                     "CAST(0 AS BIGINT) AS n_tokens, "
-                     "CAST(0 AS BIGINT) AS n_chars, "
-                     "CASE u.key WHEN 'slope' THEN z.slope "
-                     "ELSE z.intercept END AS avg_chars "
-                     "FROM (" + base["zipf_fit"] + ") z, "
-                     "(SELECT unnest(['slope', 'intercept']) AS key) u")]),
-        "topk_terms": _sql_union([
-            ("corpus_bigram", "SELECT CAST(-1 AS BIGINT) AS doc_id, "
-                              "CAST(0 AS BIGINT) AS rank, gram AS term, "
-                              "n AS score FROM (" + base["ngram_topk"] + ")"),
-            ("tfidf", "SELECT doc_id, rank, token AS term, "
-                      "score_micro AS score FROM ("
-                      + base["tfidf_topk"] + ")"),
-            ("bm25", "SELECT doc_id, rank, token AS term, "
-                     "score_micro AS score FROM ("
-                     + base["bm25_topk"] + ")"),
-            ("search", "SELECT doc_id, rank, 'q' || query_id AS term, "
-                       "score_micro AS score FROM ("
-                       + base["bm25_search"] + ")")]),
-        "lm_scores": _sql_union([
-            ("scored", base["unigram_logprob"]),
-            ("kept", base["filter_by_nll"]),
-            ("bigram", base["bigram_logprob"]),
-            ("dsir", "SELECT doc_id, n_feats AS n_tokens, "
-                     "CAST(key_micro AS DOUBLE) AS nll FROM ("
-                     + base["dsir_weights"] + ")")]),
-        "samples": _sql_union([
-            ("mix", "SELECT doc_id FROM (" + base["sample_mix"] + ")"),
-            ("weighted", "SELECT doc_id FROM ("
-                         + base["weighted_sample"] + ")"),
-            ("fixed_k", "SELECT doc_id FROM ("
-                        + base["sample_fixed_k"] + ")"),
-            ("dsir", "SELECT doc_id FROM ("
-                     + base["dsir_sample"] + ")")]),
-        "host_filters": _sql_union([
-            ("cap", "SELECT doc_id, host, CAST(0 AS BIGINT) AS v FROM ("
-                    + base["host_cap_sample"] + ")"),
-            ("blocklist", "SELECT doc_id, host, CAST(0 AS BIGINT) AS v "
-                          "FROM (" + base["host_blocklist_filter"] + ")"),
-            ("rank", "SELECT CAST(-1 AS BIGINT) AS doc_id, host, "
-                     "CAST(rank_micro AS BIGINT) AS v FROM ("
-                     + base["host_rank"] + ")"),
-            ("components", "SELECT CAST(-1 AS BIGINT) AS doc_id, host, "
-                           "component AS v FROM ("
-                           + base["host_components"] + ")")]),
-        "pii": _sql_union([
-            ("pii", f"WITH s AS ({oracle.pii_stats_sql(every=5)}),\n"
-                    f"r AS ({oracle.pii_redact_sql(every=5)})\n"
-                    "SELECT s.doc_id, s.n_email, s.n_ipv4, s.n_phone, "
-                    "r.text, r.n_redacted FROM s JOIN r USING (doc_id)"),
-            ("lines", "SELECT doc_id, n_lines AS n_email, n_kept AS n_ipv4, "
-                      "CAST(0 AS BIGINT) AS n_phone, text, "
-                      "n_lines - n_kept AS n_redacted FROM ("
-                      + base["line_filter"] + ")")]),
-        "quantile_report": _sql_union([
-            ("lineitem_price", base["quantiles"]),
-            ("media_bytes", base["media_size_quantiles"])]),
-        "jaccard_pairs": _sql_union([
-            ("token", base["dedup_jaccard"]),
-            ("ngram", base["dedup_jaccard_ngram"])]),
-        "dup_clusters": ("SELECT node, cluster_id, "
-                         "CAST(node = cluster_id AS BIGINT) AS survivor "
-                         "FROM (" + oracle.dup_clusters_sql(0.8, 5) + ")"),
-        "sketch_counts": _sql_union([
-            ("hll", "SELECT grp AS key, n_zero AS n1, inv_sum_num AS n2, "
-                    "estimate AS est FROM ("
-                    + base["hll_distinct"] + ")"),
-            ("cms", "SELECT token AS key, est_count AS n1, "
-                    "CAST(0 AS BIGINT) AS n2, 0.0 AS est FROM ("
-                    + base["cms_counts"] + ")"),
-            ("token_hll", "SELECT grp AS key, n_zero AS n1, "
-                          "inv_sum_num AS n2, estimate AS est FROM ("
-                          + base["source_token_hll"] + ")")]),
-        "windows": _sql_union([
-            ("tumbling", "SELECT window_id AS k1, "
-                         "CAST(user_id AS VARCHAR) AS k2, n_events AS n, "
-                         "sum_value AS v FROM ("
-                         + base["tumbling_window"] + ")"),
-            ("hopping", "SELECT window_start AS k1, event_type AS k2, "
-                        "n_events AS n, sum_value AS v FROM ("
-                        + base["hopping_window"] + ")"),
-            ("distinct_users", "SELECT window_id AS k1, '' AS k2, "
-                               "n_users AS n, 0.0 AS v FROM ("
-                               + base["window_distinct_users"] + ")"),
-            ("top_types", "SELECT window_id AS k1, event_type AS k2, "
-                          "n_events AS n, CAST(rank AS DOUBLE) AS v FROM ("
-                          + base["window_top_types"] + ")"),
-            ("anomaly", "SELECT window_id AS k1, event_type AS k2, "
-                        "n_events AS n, z AS v FROM ("
-                        + base["window_anomaly"] + ")")]),
-        "sessions": _sql_union([
-            ("assign", "SELECT event_id AS k1, user_id AS k2, "
-                       "session_seq AS n, 0.0 AS v, 0.0 AS v2 FROM ("
-                       + base["sessionize"] + ")"),
-            ("stats", "SELECT user_id AS k1, session_seq AS k2, "
-                      "n_events AS n, sum_value AS v, "
-                      "CAST(duration_us AS DOUBLE) AS v2 FROM ("
-                      + base["session_stats"] + ")"),
-            ("funnel", "SELECT user_id AS k1, CAST(0 AS BIGINT) AS k2, "
-                       "CAST(0 AS BIGINT) AS n, CAST(a_ts AS DOUBLE) AS v, "
-                       "CAST(b_ts AS DOUBLE) AS v2 FROM ("
-                       + base["event_funnel"] + ")")]),
-        "temporal_joins": _sql_union([
-            ("asof", "SELECT event_id, last_orderkey AS val FROM ("
-                     + base["asof_join"] + ")"),
-            ("range", "SELECT event_id, n_parts AS val FROM ("
-                      + base["range_join"] + ")")]),
-        "sequence_pack": _sql_union([
-            ("pack",
-             "WITH t AS (SELECT doc_id, CAST(len(regexp_extract_all("
-             f"lower(text), '{_TOKEN_RE_SQL}')) AS BIGINT) AS n_tokens "
-             "FROM documents), "
-             "c AS (SELECT doc_id, n_tokens, CAST(COALESCE(SUM(n_tokens) "
-             "OVER (ORDER BY doc_id ROWS BETWEEN UNBOUNDED PRECEDING AND "
-             "1 PRECEDING), 0) AS BIGINT) AS before_n FROM t) "
-             "SELECT doc_id, n_tokens AS a, before_n // 512 AS b, "
-             "before_n % 512 AS c FROM c"),
-            ("shuffle", _shuffle_shards_sql(n_shards=8))]),
-    }
-
-
-QUERIES = {
-    # geospatial reference surface (SURVEY §2.1-2.4)
-    "webpages": q_webpages,
-    "geoparse": q_geoparse_full,
-    "donut_masks": q_donut_masks,
-    "containment": q_containment,
-    "displacement": q_displacement,
-    "evaluate": q_evaluate_full,
-    "k_anonymity": q_k_anonymity_all,
-    "suppress": q_suppress,
-    "addresses": q_addresses,
-    "street_masks": q_street_masks,
-    "graph_masks": q_graph_masks,
-    "ripleys_k": q_ripley,
-    "checkpointed_flagship": q_checkpointed_flagship,
-    # text signals / corpus curation (SURVEY §2.6)
-    "text_signals": q_text_signals,
-    "corpus_stats": q_corpus_stats,
-    "topk_terms": q_topk_terms,
-    "fingerprint_winnow": q_fingerprint_winnow,
-    "lm_scores": q_lm_scores,
-    "samples": q_samples,
-    "host_filters": q_host_filters,
-    "url_dedup": q_url_dedup,
-    "pii": q_pii,
-    "geo_scrub": q_geo_scrub,
-    "quantile_report": q_quantile_report,
-    "source_quantiles": q_source_quantiles,
-    "outlier_flags": q_outlier_flags,
-    "decontaminate": q_decontaminate,
-    "cross_corpus_dedup": q_cross_corpus_dedup,
-    # dedup family
-    "dedup_exact": q_dedup_exact,
-    "jaccard_pairs": q_jaccard_pairs,
-    "dedup_minhash": q_dedup_minhash,
-    "dedup_simhash": q_dedup_simhash,
-    "dup_clusters": q_dup_clusters_full,
-    "dedup_spans": q_dedup_spans,
-    "chunk_dedup": q_chunk_dedup,
-    # similarity / ANN
-    "embedding_pairs": q_embedding_pairs,
-    "ann_topk": q_ann_topk,
-    "ann_approx": q_ann_approx,
-    "ann_pairs_lsh": q_ann_pairs_lsh,
-    "dedup_semantic": q_dedup_semantic,
-    # multimodal
-    "media_metadata": q_media_metadata,
-    "media_pipeline": q_media_pipeline,
-    # sketches
-    "sketch_counts": q_sketch_counts,
-    # events / windows
-    "windows": q_windows,
-    "sessions": q_sessions,
-    "temporal_joins": q_temporal_joins,
-    "sequence_pack": q_sequence_pack,
-    # relational
-    "pricing_summary": q_pricing_summary,
-    "top_orders": q_top_orders,
-    "top_quality_per_source": q_top_quality_per_source,
-}
-
-# layout ops added after the consolidation snapshot; keep the
-# per-operator surface complete (the registered `sequence_pack` query
-# is their tagged union).
-FULL_QUERIES["sequence_pack"] = q_sequence_pack
-FULL_QUERIES["shuffle_shards"] = q_shuffle_shards
+        "ORDER BY skey, doc_id) - 1 AS BIGINT) AS pos FROM keyed")
 
 
 def q_decontaminate_bloom(sf_dir: str):
@@ -3064,32 +2015,12 @@ def q_decontaminate_bloom(sf_dir: str):
     return decontaminate_bloom(_docs_ds(sf_dir), n=5)
 
 
-def q_decontaminate_both(sf_dir: str):
-    """Exact-gram-set AND Bloom-bitset decontamination in one tagged
-    union (merges decontaminate + decontaminate_bloom; same output
-    schema, the standard exact-vs-bounded-memory hygiene pair)."""
-    spec = [("doc_id", "doc_id", None), ("n_hit_grams", "n_hit_grams", None),
-            ("contaminated", "contaminated", None)]
-    return _union([
-        _tag_ds(FULL_QUERIES["decontaminate"](sf_dir), "exact", spec),
-        _tag_ds(q_decontaminate_bloom(sf_dir), "bloom", spec)])
-
-
-FULL_QUERIES["decontaminate_bloom"] = q_decontaminate_bloom
-# the registered decontamination row now carries BOTH variants
-QUERIES["decontaminate"] = q_decontaminate_both
-
-
 def q_bm25_topk(sf_dir: str):
     """Top-3 Okapi-BM25 keywords per doc — TF-IDF with document-length
     normalization, scored as one exact int64 rational (text/lm.py)."""
     from .text.lm import bm25_topk
 
     return bm25_topk(_docs_ds(sf_dir))
-
-
-FULL_QUERIES["bm25_topk"] = q_bm25_topk
-FULL_QUERIES["ann_pq"] = q_ann_pq
 
 
 def q_host_rank(sf_dir: str):
@@ -3099,9 +2030,6 @@ def q_host_rank(sf_dir: str):
     from .text.rank import host_rank
 
     return host_rank(read_webpages(sf_dir, seed=SEED))
-
-
-FULL_QUERIES["host_rank"] = q_host_rank
 
 
 def _bm25_sql(k: int = 3, top_v: int = 4096) -> str:
@@ -3141,9 +2069,6 @@ def q_bigram_logprob(sf_dir: str):
     from .text.lm import bigram_logprob
 
     return bigram_logprob(_docs_ds(sf_dir))
-
-
-FULL_QUERIES["bigram_logprob"] = q_bigram_logprob
 
 
 def _bigram_lm_sql(top_v: int = 4096) -> str:
@@ -3189,41 +2114,6 @@ SELECT d.doc_id, COALESCE(a.n_tokens, 0) AS n_tokens,
 FROM docs d LEFT JOIN agg a ON d.doc_id = a.doc_id"""
 
 
-_FULL_ORACLE_SNAPSHOT = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT()
-    out["decontaminate_bloom"] = oracle.decontaminate_bloom_sql(n=5, mod=97)
-    out["bm25_topk"] = _bm25_sql(k=3, top_v=4096)
-    out["host_rank"] = oracle.host_rank_sql(SEED)
-    out["bigram_logprob"] = _bigram_lm_sql(top_v=4096)
-    return out
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — consolidated surface
-    base = full_oracle_queries()
-    keep = ["webpages", "displacement", "suppress", "addresses", "ripleys_k",
-            "checkpointed_flagship", "url_dedup", "geo_scrub",
-            "fingerprint_winnow",
-            "source_quantiles", "outlier_flags",
-            "cross_corpus_dedup", "dedup_exact", "dedup_minhash",
-            "dedup_simhash", "dedup_spans", "chunk_dedup", "embedding_pairs",
-            "ann_topk", "media_metadata", "pricing_summary", "top_orders",
-            "top_quality_per_source"]
-    out = {k: base[k] for k in keep}
-    out["decontaminate"] = _sql_union([
-        ("exact", base["decontaminate"]),
-        ("bloom", base["decontaminate_bloom"])])
-    out.update(_merged_oracles())
-    return out
-
-
-# ---------------------------------------------------------------------------
-# DSIR importance resampling (round-5 extension; no reference counterpart)
-# ---------------------------------------------------------------------------
-
-
 def _docs_lang_ds(sf_dir: str):
     import ray.data
 
@@ -3250,21 +2140,6 @@ def q_dsir_sample(sf_dir: str):
                        seed=SEED)
 
 
-FULL_QUERIES["dsir_weights"] = q_dsir_weights
-FULL_QUERIES["dsir_sample"] = q_dsir_sample
-
-_FULL_ORACLE_SNAPSHOT_DSIR = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .text.dsir import dsir_sql
-
-    out = _FULL_ORACLE_SNAPSHOT_DSIR()
-    out["dsir_weights"] = dsir_sql(target_lang="en", seed=SEED)
-    out["dsir_sample"] = dsir_sql(target_lang="en", seed=SEED, k=100)
-    return out
-
-
 def q_source_similarity(sf_dir: str):
     """Pairwise source-level MinHash Jaccard estimates — the corpus
     snapshot/provenance comparison matrix (text/dedup.py)."""
@@ -3278,17 +2153,6 @@ def q_source_similarity(sf_dir: str):
     return source_minhash_similarity(ds)
 
 
-FULL_QUERIES["source_similarity"] = q_source_similarity
-
-_FULL_ORACLE_SNAPSHOT_SRCSIM = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_SRCSIM()
-    out["source_similarity"] = oracle.source_similarity_sql()
-    return out
-
-
 def q_line_filter(sf_dir: str):
     """C4-style line-level filter over the derived multi-line corpus
     (text/lines.py): per-doc line counts + cleaned reassembled text."""
@@ -3297,38 +2161,12 @@ def q_line_filter(sf_dir: str):
     return line_filter(with_lines(_docs_ds(sf_dir), seed=SEED))
 
 
-FULL_QUERIES["line_filter"] = q_line_filter
-
-_FULL_ORACLE_SNAPSHOT_LINES = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .text.lines import line_filter_sql
-
-    out = _FULL_ORACLE_SNAPSHOT_LINES()
-    out["line_filter"] = line_filter_sql(seed=SEED)
-    return out
-
-
 def q_bm25_search(sf_dir: str):
     """BM25 retrieval: top-10 docs per fixed query over the corpus —
     the serving twin of the bm25_topk keyword extractor (text/lm.py)."""
     from .text.lm import bm25_search
 
     return bm25_search(_docs_ds(sf_dir), k=10)
-
-
-FULL_QUERIES["bm25_search"] = q_bm25_search
-
-_FULL_ORACLE_SNAPSHOT_SEARCH = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .text.lm import bm25_search_sql
-
-    out = _FULL_ORACLE_SNAPSHOT_SEARCH()
-    out["bm25_search"] = bm25_search_sql(k=10)
-    return out
 
 
 def q_snapshot_delta(sf_dir: str):
@@ -3348,69 +2186,6 @@ def q_snapshot_delta_stats(sf_dir: str):
                                               include_html=False))
 
 
-FULL_QUERIES["snapshot_delta"] = q_snapshot_delta
-FULL_QUERIES["snapshot_delta_stats"] = q_snapshot_delta_stats
-
-
-def q_url_dedup_all(sf_dir: str):
-    """URL-level crawl curation in one tagged union: canonical-URL
-    refetch dedup + the cross-snapshot delta (per-URL statuses AND the
-    per-host recrawl health rollup). Merged columns: the delta part
-    carries status as kept_fetch_id; the host part carries host as
-    canonical_url and the count as n_fetches."""
-    i64 = pa.int64()
-    canon = _tag_ds(q_url_dedup(sf_dir), "canonical",
-                    [("canonical_url", "canonical_url", None),
-                     ("kept_fetch_id", "kept_fetch_id", None),
-                     ("doc_id", "doc_id", None),
-                     ("n_fetches", "n_fetches", None)])
-    delta = _tag_ds(FULL_QUERIES["snapshot_delta"](sf_dir), "delta",
-                    [("canonical_url", "url", None),
-                     ("kept_fetch_id", "status", None),
-                     ("doc_id", ("const", -1), i64),
-                     ("n_fetches", ("const", -1), i64)])
-    hosts = _tag_ds(FULL_QUERIES["snapshot_delta_stats"](sf_dir),
-                    "delta_hosts",
-                    [("canonical_url", "host", None),
-                     ("kept_fetch_id", "status", None),
-                     ("doc_id", ("const", -1), i64),
-                     ("n_fetches", "n", None)])
-    return _union([canon, delta, hosts])
-
-
-QUERIES["url_dedup"] = q_url_dedup_all
-
-_FULL_ORACLE_SNAPSHOT_DELTA = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .text.snapshots import snapshot_delta_sql
-
-    out = _FULL_ORACLE_SNAPSHOT_DELTA()
-    out["snapshot_delta"] = snapshot_delta_sql(oracle.pages_cte(SEED))
-    out["snapshot_delta_stats"] = snapshot_delta_sql(
-        oracle.pages_cte(SEED), per_host=True)
-    return out
-
-
-_ORACLE_SNAPSHOT_DELTA = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge delta parts
-    out = _ORACLE_SNAPSHOT_DELTA()
-    base = full_oracle_queries()
-    out["url_dedup"] = _sql_union([
-        ("canonical", base["url_dedup"]),
-        ("delta", "SELECT url AS canonical_url, status AS kept_fetch_id, "
-                  "CAST(-1 AS BIGINT) AS doc_id, CAST(-1 AS BIGINT) AS "
-                  "n_fetches FROM (" + base["snapshot_delta"] + ")"),
-        ("delta_hosts", "SELECT host AS canonical_url, status AS "
-                        "kept_fetch_id, CAST(-1 AS BIGINT) AS doc_id, "
-                        "n AS n_fetches FROM ("
-                        + base["snapshot_delta_stats"] + ")")])
-    return out
-
-
 def q_host_components(sf_dir: str):
     """Connected components of the host link graph (min-63-bit-hash
     labels via large-star/small-star rounds — text/rank.py)."""
@@ -3418,17 +2193,6 @@ def q_host_components(sf_dir: str):
 
     return host_components(read_webpages(sf_dir, seed=SEED,
                                          include_html=False))
-
-
-FULL_QUERIES["host_components"] = q_host_components
-
-_FULL_ORACLE_SNAPSHOT_COMP = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_COMP()
-    out["host_components"] = oracle.host_components_sql(SEED)
-    return out
 
 
 def q_window_anomaly(sf_dir: str):
@@ -3444,38 +2208,12 @@ def q_window_anomaly(sf_dir: str):
     return window_anomaly(ev)
 
 
-FULL_QUERIES["window_anomaly"] = q_window_anomaly
-
-_FULL_ORACLE_SNAPSHOT_ANOM = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .stages.events import window_anomaly_sql
-
-    out = _FULL_ORACLE_SNAPSHOT_ANOM()
-    out["window_anomaly"] = window_anomaly_sql()
-    return out
-
-
 def q_zipf_fit(sf_dir: str):
     """Zipf exponent over the top-V token frequency curve — the
     corpus-health diagnostic (text/lm.py:zipf_fit)."""
     from .text.lm import zipf_fit
 
     return zipf_fit(_docs_ds(sf_dir))
-
-
-FULL_QUERIES["zipf_fit"] = q_zipf_fit
-
-_FULL_ORACLE_SNAPSHOT_ZIPF = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .text.lm import zipf_fit_sql
-
-    out = _FULL_ORACLE_SNAPSHOT_ZIPF()
-    out["zipf_fit"] = zipf_fit_sql()
-    return out
 
 
 def q_trimmed_source_stats(sf_dir: str):
@@ -3491,52 +2229,6 @@ def q_trimmed_source_stats(sf_dir: str):
     return trimmed_source_stats(ds)
 
 
-FULL_QUERIES["trimmed_source_stats"] = q_trimmed_source_stats
-
-
-def q_source_quantiles_all(sf_dir: str):
-    """Per-source robust statistics in one tagged union: exact
-    quartiles + the [q10, q90]-trimmed mean (part ``trimmed`` carries
-    n_kept as a, trimmed_mean as b, 0 as c — the int->double casts are
-    exact)."""
-    f64 = pa.float64()
-    quart = _tag_ds(FULL_QUERIES["source_quantiles"](sf_dir), "quartiles",
-                    [("source", "source", None), ("a", "q25", None),
-                     ("b", "q50", None), ("c", "q75", None)])
-    trim = _tag_ds(FULL_QUERIES["trimmed_source_stats"](sf_dir), "trimmed",
-                   [("source", "source", None), ("a", "n_kept", f64),
-                    ("b", "trimmed_mean", None), ("c", ("const", 0.0), f64)])
-    return _union([quart, trim])
-
-
-QUERIES["source_quantiles"] = q_source_quantiles_all
-
-_FULL_ORACLE_SNAPSHOT_TRIM = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .text.quality import trimmed_source_stats_sql
-
-    out = _FULL_ORACLE_SNAPSHOT_TRIM()
-    out["trimmed_source_stats"] = trimmed_source_stats_sql()
-    return out
-
-
-_ORACLE_SNAPSHOT_TRIM = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge trimmed part
-    out = _ORACLE_SNAPSHOT_TRIM()
-    base = full_oracle_queries()
-    out["source_quantiles"] = _sql_union([
-        ("quartiles", "SELECT source, q25 AS a, q50 AS b, q75 AS c FROM ("
-                      + base["source_quantiles"] + ")"),
-        ("trimmed", "SELECT source, CAST(n_kept AS DOUBLE) AS a, "
-                    "trimmed_mean AS b, 0.0 AS c FROM ("
-                    + base["trimmed_source_stats"] + ")")])
-    return out
-
-
 def q_source_token_hll(sf_dir: str):
     """Per-source distinct-token HLL (vocabulary richness profile) —
     sketches.py:source_token_hll."""
@@ -3550,19 +2242,6 @@ def q_source_token_hll(sf_dir: str):
     return source_token_hll(ds)
 
 
-FULL_QUERIES["source_token_hll"] = q_source_token_hll
-
-_FULL_ORACLE_SNAPSHOT_THLL = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .sketches import source_token_hll_sql
-
-    out = _FULL_ORACLE_SNAPSHOT_THLL()
-    out["source_token_hll"] = source_token_hll_sql()
-    return out
-
-
 def q_dup_gram_fraction(sf_dir: str):
     """Per-doc cross-document duplicate-gram fraction (the RefinedWeb
     shared-boilerplate filter input — text/dedup.py)."""
@@ -3571,115 +2250,12 @@ def q_dup_gram_fraction(sf_dir: str):
     return dup_gram_fraction(_docs_ds(sf_dir), k=8)
 
 
-FULL_QUERIES["dup_gram_fraction"] = q_dup_gram_fraction
-
-
-def q_dedup_spans_all(sf_dir: str):
-    """Substring-level dedup signals in one tagged union: the >= 2-doc
-    span list (gram granularity) + the per-doc duplicate-gram fraction
-    (doc granularity; v carries dup_frac)."""
-    f64 = pa.float64()
-    spans = _tag_ds(FULL_QUERIES["dedup_spans"](sf_dir), "spans",
-                    [("k", "gram_hash", None), ("a", "n_docs", None),
-                     ("b", "first_doc", None), ("v", ("const", 0.0), f64)])
-    frac = _tag_ds(FULL_QUERIES["dup_gram_fraction"](sf_dir), "fraction",
-                   [("k", "doc_id", None), ("a", "n_grams", None),
-                    ("b", "n_dup", None), ("v", "dup_frac", None)])
-    return _union([spans, frac])
-
-
-QUERIES["dedup_spans"] = q_dedup_spans_all
-
-_FULL_ORACLE_SNAPSHOT_DGF = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_DGF()
-    out["dup_gram_fraction"] = oracle.dup_gram_fraction_sql(k=8)
-    return out
-
-
-_ORACLE_SNAPSHOT_DGF = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge fraction part
-    out = _ORACLE_SNAPSHOT_DGF()
-    base = full_oracle_queries()
-    out["dedup_spans"] = _sql_union([
-        ("spans", "SELECT gram_hash AS k, n_docs AS a, first_doc AS b, "
-                  "0.0 AS v FROM (" + base["dedup_spans"] + ")"),
-        ("fraction", "SELECT doc_id AS k, n_grams AS a, n_dup AS b, "
-                     "dup_frac AS v FROM ("
-                     + base["dup_gram_fraction"] + ")")])
-    return out
-
-
 def q_curate_corpus(sf_dir: str):
     """End-to-end curation pipeline verdicts: quality -> exact dedup ->
     near-dup clusters -> decontamination (text/curate.py)."""
     from .text.curate import curate_corpus
 
     return curate_corpus(_docs_ds(sf_dir))
-
-
-FULL_QUERIES["curate_corpus"] = q_curate_corpus
-
-_FULL_ORACLE_SNAPSHOT_CUR = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .text.curate import curate_corpus_sql
-
-    out = _FULL_ORACLE_SNAPSHOT_CUR()
-    out["curate_corpus"] = curate_corpus_sql()
-    return out
-
-
-# merge the pipeline into the registered rows: the per-doc verdicts ride
-# the pii row's string column (part `curation`); samples checks nothing
-# extra (the verdicts subsume the kept set).
-_Q_PII_PRE_CURATION = q_pii
-
-
-def q_pii(sf_dir: str):  # noqa: F811
-    """Text-hygiene transforms + the end-to-end curation verdicts in
-    one tagged union (parts ``pii``, ``lines`` and ``curation`` — the
-    curation part carries each doc's pipeline status in the text
-    column)."""
-    i64 = pa.int64()
-    cur = _tag_ds(FULL_QUERIES["curate_corpus"](sf_dir), "curation",
-                  [("doc_id", "doc_id", None),
-                   ("n_email", ("const", 0), i64),
-                   ("n_ipv4", ("const", 0), i64),
-                   ("n_phone", ("const", 0), i64),
-                   ("text", "status", None),
-                   ("n_redacted", ("const", 0), i64)])
-    return _union([_Q_PII_PRE_CURATION(sf_dir), cur])
-
-
-QUERIES["pii"] = q_pii
-
-_ORACLE_SNAPSHOT_CUR = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge curation part
-    out = _ORACLE_SNAPSHOT_CUR()
-    base = full_oracle_queries()
-    out["pii"] = (out["pii"] + "\nUNION ALL\n"
-                  "SELECT 'curation' AS part, doc_id, "
-                  "CAST(0 AS BIGINT) AS n_email, "
-                  "CAST(0 AS BIGINT) AS n_ipv4, "
-                  "CAST(0 AS BIGINT) AS n_phone, status AS text, "
-                  "CAST(0 AS BIGINT) AS n_redacted FROM ("
-                  + base["curate_corpus"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Per-source stratified fixed-k sample (round 5): the fixed-size-per-
-# stratum eval cut beside the global `sample_fixed_k`. Merged into the
-# registered `samples` row as part `per_source`.
-# ---------------------------------------------------------------------------
 
 
 def q_sample_fixed_k_per_source(sf_dir: str):
@@ -3695,55 +2271,12 @@ def q_sample_fixed_k_per_source(sf_dir: str):
     return sample_fixed_k_per_source(ds, k=5, seed=SEED)
 
 
-FULL_QUERIES["sample_fixed_k_per_source"] = q_sample_fixed_k_per_source
-
-_FULL_ORACLE_SNAPSHOT_SRCK = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .rng import sql_uniform01
-    from .text.corpus import SAMPLE_K_SRC_STREAM
-
-    out = _FULL_ORACLE_SNAPSHOT_SRCK()
+def _sample_fixed_k_per_source_sql() -> str:
     u = sql_uniform01("doc_id", SEED, SAMPLE_K_SRC_STREAM)
-    out["sample_fixed_k_per_source"] = (
-        "SELECT source, doc_id, u FROM ("
-        "SELECT source, doc_id, u, row_number() OVER ("
-        "PARTITION BY source ORDER BY u, doc_id) AS rn FROM ("
-        f"SELECT source, doc_id, {u} AS u FROM documents)) WHERE rn <= 5")
-    return out
-
-
-_Q_SAMPLES_PRE_SRCK = q_samples
-
-
-def q_samples(sf_dir: str):  # noqa: F811
-    """Doc-level deterministic samplers + the per-source stratified
-    fixed-k part (`per_source`) in one tagged union of kept doc_ids."""
-    srck = _tag_ds(FULL_QUERIES["sample_fixed_k_per_source"](sf_dir),
-                   "per_source", [("doc_id", "doc_id", None)])
-    return _union([_Q_SAMPLES_PRE_SRCK(sf_dir), srck])
-
-
-QUERIES["samples"] = q_samples
-
-_ORACLE_SNAPSHOT_SRCK = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge per_source
-    out = _ORACLE_SNAPSHOT_SRCK()
-    base = full_oracle_queries()
-    out["samples"] = (out["samples"] + "\nUNION ALL\n"
-                      "SELECT 'per_source' AS part, doc_id FROM ("
-                      + base["sample_fixed_k_per_source"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Temperature-scaled source mixing weights (round 5): the alpha = 1/2
-# exponent-smoothing rebalance rule, integer-exact. Merged into the
-# registered `corpus_stats` row as part `mix`.
-# ---------------------------------------------------------------------------
+    return ("SELECT source, doc_id, u FROM ("
+            "SELECT source, doc_id, u, row_number() OVER ("
+            "PARTITION BY source ORDER BY u, doc_id) AS rn FROM ("
+            f"SELECT source, doc_id, {u} AS u FROM documents)) WHERE rn <= 5")
 
 
 def q_source_mix_weights(sf_dir: str):
@@ -3760,60 +2293,15 @@ def q_source_mix_weights(sf_dir: str):
     return source_mix_weights(ds)
 
 
-FULL_QUERIES["source_mix_weights"] = q_source_mix_weights
-
-_FULL_ORACLE_SNAPSHOT_MIXW = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_MIXW()
-    out["source_mix_weights"] = (
-        "WITH mixc AS (SELECT source, count(*) AS n_docs FROM documents "
-        "GROUP BY source), "
-        "mixq AS (SELECT source, n_docs, CAST(floor(1000000000.0 * "
-        "sqrt(CAST(n_docs AS DOUBLE))) AS BIGINT) AS q_sqrt FROM mixc) "
-        "SELECT source, n_docs, q_sqrt, "
-        "CAST(CAST(q_sqrt AS HUGEINT) * 1000000 // "
-        "(SELECT sum(CAST(q_sqrt AS HUGEINT)) FROM mixq) AS BIGINT) "
-        "AS w_ppm FROM mixq")
-    return out
-
-
-_Q_CORPUS_STATS_PRE_MIXW = q_corpus_stats
-
-
-def q_corpus_stats(sf_dir: str):  # noqa: F811
-    """Per-source/per-host aggregates + similarity + zipf + the
-    alpha=1/2 mixing-weight part (`mix`: q_sqrt as n_tokens, w_ppm as
-    n_chars) in one tagged union."""
-    mix = _tag_ds(FULL_QUERIES["source_mix_weights"](sf_dir), "mix",
-                  [("key", "source", None), ("n_rows", "n_docs", None),
-                   ("n_tokens", "q_sqrt", None), ("n_chars", "w_ppm", None),
-                   ("avg_chars", ("const", 0.0), pa.float64())])
-    return _union([_Q_CORPUS_STATS_PRE_MIXW(sf_dir), mix])
-
-
-QUERIES["corpus_stats"] = q_corpus_stats
-
-_ORACLE_SNAPSHOT_MIXW = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge mix part
-    out = _ORACLE_SNAPSHOT_MIXW()
-    base = full_oracle_queries()
-    out["corpus_stats"] = (
-        out["corpus_stats"] + "\nUNION ALL\n"
-        "SELECT 'mix' AS part, source AS key, n_docs AS n_rows, "
-        "q_sqrt AS n_tokens, w_ppm AS n_chars, 0.0 AS avg_chars FROM ("
-        + base["source_mix_weights"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Water-filling source budget allocation (round 5): the UniMax-style
-# uniform-up-to-cap split of a total document budget. Merged into the
-# registered `corpus_stats` row as part `alloc`.
-# ---------------------------------------------------------------------------
+def _source_mix_weights_sql() -> str:
+    return ("WITH mixc AS (SELECT source, count(*) AS n_docs FROM documents "
+            "GROUP BY source), "
+            "mixq AS (SELECT source, n_docs, CAST(floor(1000000000.0 * "
+            "sqrt(CAST(n_docs AS DOUBLE))) AS BIGINT) AS q_sqrt FROM mixc) "
+            "SELECT source, n_docs, q_sqrt, "
+            "CAST(CAST(q_sqrt AS HUGEINT) * 1000000 // "
+            "(SELECT sum(CAST(q_sqrt AS HUGEINT)) FROM mixq) AS BIGINT) "
+            "AS w_ppm FROM mixq")
 
 
 def q_source_budget_alloc(sf_dir: str):
@@ -3830,67 +2318,23 @@ def q_source_budget_alloc(sf_dir: str):
     return source_budget_alloc(ds)
 
 
-FULL_QUERIES["source_budget_alloc"] = q_source_budget_alloc
-
-_FULL_ORACLE_SNAPSHOT_ALLOC = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_ALLOC()
-    out["source_budget_alloc"] = (
-        "WITH ac AS (SELECT source, count(*) AS n_docs FROM documents "
-        "GROUP BY source), "
-        "atot AS (SELECT CAST(sum(n_docs) // 2 AS BIGINT) AS b FROM ac), "
-        "aw AS (SELECT source, n_docs, "
-        "coalesce(sum(n_docs) OVER (ORDER BY n_docs, source "
-        "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS pp, "
-        "row_number() OVER (ORDER BY n_docs, source) AS rn, "
-        "count(*) OVER () AS m, (SELECT b FROM atot) AS b FROM ac), "
-        "af AS (SELECT *, (n_docs * (m - rn + 1) + pp <= b) AS sat "
-        "FROM aw), "
-        "aagg AS (SELECT coalesce(sum(CASE WHEN sat THEN n_docs END), 0) "
-        "AS sk, count(*) FILTER (sat) AS k FROM af) "
-        "SELECT af.source, af.n_docs, "
-        "CAST(CASE WHEN af.sat THEN af.n_docs "
-        "ELSE (af.b - aagg.sk) // greatest(af.m - aagg.k, 1) END "
-        "AS BIGINT) AS alloc, af.b AS budget FROM af, aagg")
-    return out
-
-
-_Q_CORPUS_STATS_PRE_ALLOC = q_corpus_stats
-
-
-def q_corpus_stats(sf_dir: str):  # noqa: F811
-    """The corpus_stats tagged union plus the water-filling budget
-    part (`alloc`: allocation as n_tokens, budget as n_chars)."""
-    al = _tag_ds(FULL_QUERIES["source_budget_alloc"](sf_dir), "alloc",
-                 [("key", "source", None), ("n_rows", "n_docs", None),
-                  ("n_tokens", "alloc", None), ("n_chars", "budget", None),
-                  ("avg_chars", ("const", 0.0), pa.float64())])
-    return _union([_Q_CORPUS_STATS_PRE_ALLOC(sf_dir), al])
-
-
-QUERIES["corpus_stats"] = q_corpus_stats
-
-_ORACLE_SNAPSHOT_ALLOC = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge alloc part
-    out = _ORACLE_SNAPSHOT_ALLOC()
-    base = full_oracle_queries()
-    out["corpus_stats"] = (
-        out["corpus_stats"] + "\nUNION ALL\n"
-        "SELECT 'alloc' AS part, source AS key, n_docs AS n_rows, "
-        "alloc AS n_tokens, budget AS n_chars, 0.0 AS avg_chars FROM ("
-        + base["source_budget_alloc"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Per-source unigram KL divergence (round 5): the domain-shift
-# diagnostic over top-V vocab + OOV bucket. Merged into the registered
-# `corpus_stats` row as part `kl`.
-# ---------------------------------------------------------------------------
+def _source_budget_alloc_sql() -> str:
+    return ("WITH ac AS (SELECT source, count(*) AS n_docs FROM documents "
+            "GROUP BY source), "
+            "atot AS (SELECT CAST(sum(n_docs) // 2 AS BIGINT) AS b FROM ac), "
+            "aw AS (SELECT source, n_docs, "
+            "coalesce(sum(n_docs) OVER (ORDER BY n_docs, source "
+            "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS pp, "
+            "row_number() OVER (ORDER BY n_docs, source) AS rn, "
+            "count(*) OVER () AS m, (SELECT b FROM atot) AS b FROM ac), "
+            "af AS (SELECT *, (n_docs * (m - rn + 1) + pp <= b) AS sat "
+            "FROM aw), "
+            "aagg AS (SELECT coalesce(sum(CASE WHEN sat THEN n_docs END), 0) "
+            "AS sk, count(*) FILTER (sat) AS k FROM af) "
+            "SELECT af.source, af.n_docs, "
+            "CAST(CASE WHEN af.sat THEN af.n_docs "
+            "ELSE (af.b - aagg.sk) // greatest(af.m - aagg.k, 1) END "
+            "AS BIGINT) AS alloc, af.b AS budget FROM af, aagg")
 
 
 def q_source_kl(sf_dir: str):
@@ -3907,14 +2351,8 @@ def q_source_kl(sf_dir: str):
     return source_kl(ds)
 
 
-FULL_QUERIES["source_kl"] = q_source_kl
-
-_FULL_ORACLE_SNAPSHOT_KL = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_KL()
-    out["source_kl"] = f"""WITH kdocs AS (SELECT source, text FROM documents),
+def _source_kl_sql() -> str:
+    return f"""WITH kdocs AS (SELECT source, text FROM documents),
 ktl AS (SELECT source, regexp_extract_all(lower(text), '{_TOKEN_RE_SQL}') AS l FROM kdocs),
 ktok AS (SELECT source, unnest(l) AS tok FROM ktl),
 kcnt AS (SELECT tok, CAST(count(*) AS BIGINT) AS c FROM ktok GROUP BY tok),
@@ -3936,45 +2374,6 @@ kterm AS (SELECT s.source,
 SELECT n.source, n.n_s AS n_tokens, CAST(sum(t.t) AS BIGINT) AS s_q,
   CAST(sum(t.t) AS DOUBLE) / (1000000.0 * n.n_s) AS kl
 FROM kterm t JOIN kns n USING (source) GROUP BY n.source, n.n_s"""
-    return out
-
-
-_Q_CORPUS_STATS_PRE_KL = q_corpus_stats
-
-
-def q_corpus_stats(sf_dir: str):  # noqa: F811
-    """The corpus_stats tagged union plus the per-source KL-divergence
-    part (`kl`: token count as n_rows, quantized int sum as n_tokens,
-    the divergence as avg_chars)."""
-    kl = _tag_ds(FULL_QUERIES["source_kl"](sf_dir), "kl",
-                 [("key", "source", None), ("n_rows", "n_tokens", None),
-                  ("n_tokens", "s_q", None),
-                  ("n_chars", ("const", 0), pa.int64()),
-                  ("avg_chars", "kl", None)])
-    return _union([_Q_CORPUS_STATS_PRE_KL(sf_dir), kl])
-
-
-QUERIES["corpus_stats"] = q_corpus_stats
-
-_ORACLE_SNAPSHOT_KL = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge kl part
-    out = _ORACLE_SNAPSHOT_KL()
-    base = full_oracle_queries()
-    out["corpus_stats"] = (
-        out["corpus_stats"] + "\nUNION ALL\n"
-        "SELECT 'kl' AS part, source AS key, n_tokens AS n_rows, "
-        "s_q AS n_tokens, CAST(0 AS BIGINT) AS n_chars, kl AS avg_chars "
-        "FROM (" + base["source_kl"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Media perceptual hash (round 5): blockhash bits over the fake-decoded
-# 8x8 image — the image-modality SimHash. Merged into the registered
-# `media_metadata` row as part `phash`.
-# ---------------------------------------------------------------------------
 
 
 def q_media_phash(sf_dir: str):
@@ -3984,11 +2383,6 @@ def q_media_phash(sf_dir: str):
     from .multimodal.media import media_phash
 
     return media_phash(read_webpages(sf_dir, seed=SEED, include_html=True))
-
-
-FULL_QUERIES["media_phash"] = q_media_phash
-
-_FULL_ORACLE_SNAPSHOT_PHASH = full_oracle_queries
 
 
 def _phash_luma_sql(c: int) -> str:
@@ -4002,11 +2396,12 @@ def _phash_luma_sql(c: int) -> str:
     return f"(16 * {hv1} + {hv2})"
 
 
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_PHASH()
+def _phash_bits_sql() -> str:
+    """CTEs phh (payload md5 per url), phpx (luma per pixel), phtot and
+    phbits (one blockhash bit per pixel)."""
     luma = (f"(299 * {_phash_luma_sql(0)} + 587 * {_phash_luma_sql(1)} "
             f"+ 114 * {_phash_luma_sql(2)})")
-    out["media_phash"] = f"""WITH {oracle.pages_cte(SEED)},
+    return f"""WITH {oracle.pages_cte(SEED)},
 phh AS (SELECT url, md5('<html><body>' || text || '</body></html>') AS h
         FROM pages),
 phpx AS (SELECT url, i, {luma} AS luma
@@ -4014,50 +2409,13 @@ phpx AS (SELECT url, i, {luma} AS luma
 phtot AS (SELECT url, sum(luma) AS t FROM phpx GROUP BY url),
 phbits AS (SELECT p.url, p.i,
            CASE WHEN p.luma * 64 > t.t THEN '1' ELSE '0' END AS b
-           FROM phpx p JOIN phtot t USING (url))
+           FROM phpx p JOIN phtot t USING (url))"""
+
+
+def _media_phash_sql() -> str:
+    return f"""{_phash_bits_sql()}
 SELECT url, string_agg(b, '' ORDER BY i) AS phash
 FROM phbits GROUP BY url"""
-    return out
-
-
-_Q_MEDIA_METADATA_PRE_PHASH = q_media_metadata
-
-
-def q_media_metadata(sf_dir: str):  # noqa: F811
-    """Media metadata + the blockhash perceptual hash in one tagged
-    union (`meta` carries bytes+md5; `phash` carries the 64-bit hash
-    string in the media_md5 slot)."""
-    meta = _tag_ds(_Q_MEDIA_METADATA_PRE_PHASH(sf_dir), "meta",
-                   [("url", "url", None), ("media_bytes", "media_bytes", None),
-                    ("media_md5", "media_md5", None)])
-    ph = _tag_ds(FULL_QUERIES["media_phash"](sf_dir), "phash",
-                 [("url", "url", None),
-                  ("media_bytes", ("const", 0), pa.int64()),
-                  ("media_md5", "phash", None)])
-    return _union([meta, ph])
-
-
-QUERIES["media_metadata"] = q_media_metadata
-
-_ORACLE_SNAPSHOT_PHASH = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge phash part
-    out = _ORACLE_SNAPSHOT_PHASH()
-    base = full_oracle_queries()
-    out["media_metadata"] = (
-        "SELECT 'meta' AS part, url, media_bytes, media_md5 FROM ("
-        + out["media_metadata"] + ")\nUNION ALL\n"
-        "SELECT 'phash' AS part, url, CAST(0 AS BIGINT) AS media_bytes, "
-        "phash AS media_md5 FROM (" + base["media_phash"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Media near-dup pairs (round 5): banded-hamming LSH over the
-# perceptual hash with deterministically seeded near-duplicates.
-# Merged into the registered `media_metadata` row as part `pairs`.
-# ---------------------------------------------------------------------------
 
 
 def q_media_phash_pairs(sf_dir: str):
@@ -4071,31 +2429,15 @@ def q_media_phash_pairs(sf_dir: str):
         read_webpages(sf_dir, seed=SEED, include_html=True))
 
 
-FULL_QUERIES["media_phash_pairs"] = q_media_phash_pairs
-
-_FULL_ORACLE_SNAPSHOT_PHP = full_oracle_queries
-
-
 def _phash_hv_sql(k: str) -> str:
     """Hex nibble value at 1-based position k of the md5 string h."""
     return f"(strpos('0123456789abcdef', substr(h, {k}, 1)) - 1)"
 
 
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_PHP()
-    luma = (f"(299 * {_phash_luma_sql(0)} + 587 * {_phash_luma_sql(1)} "
-            f"+ 114 * {_phash_luma_sql(2)})")
+def _media_phash_pairs_sql() -> str:
     byte15 = f"(16 * {_phash_hv_sql('31')} + {_phash_hv_sql('32')})"
     bytej = f"(16 * {_phash_hv_sql('2 * j + 1')} + {_phash_hv_sql('2 * j + 2')})"
-    out["media_phash_pairs"] = f"""WITH {oracle.pages_cte(SEED)},
-phh AS (SELECT url, md5('<html><body>' || text || '</body></html>') AS h
-        FROM pages),
-phpx AS (SELECT url, i, {luma} AS luma
-         FROM phh, (SELECT unnest(range(64)) AS i) idx),
-phtot AS (SELECT url, sum(luma) AS t FROM phpx GROUP BY url),
-phbits AS (SELECT p.url, p.i,
-           CASE WHEN p.luma * 64 > t.t THEN '1' ELSE '0' END AS b
-           FROM phpx p JOIN phtot t USING (url)),
+    return f"""{_phash_bits_sql()},
 phs AS (SELECT url, string_agg(b, '' ORDER BY i) AS phash
         FROM phbits GROUP BY url),
 pflag AS (SELECT url, h FROM phh WHERE {byte15} % 10 = 0),
@@ -4125,42 +2467,6 @@ pham AS (SELECT url_a, url_b,
          GROUP BY url_a, url_b)
 SELECT url_a, url_b, CAST(hamming AS BIGINT) AS hamming
 FROM pham WHERE hamming <= 4"""
-    return out
-
-
-_Q_MEDIA_METADATA_PRE_PAIRS = q_media_metadata
-
-
-def q_media_metadata(sf_dir: str):  # noqa: F811
-    """media_metadata union extended with the near-dup pairs part
-    (`pairs`: hamming as media_bytes, url_b in the media_md5 slot)."""
-    pr = _tag_ds(FULL_QUERIES["media_phash_pairs"](sf_dir), "pairs",
-                 [("url", "url_a", None), ("media_bytes", "hamming", None),
-                  ("media_md5", "url_b", None)])
-    return _union([_Q_MEDIA_METADATA_PRE_PAIRS(sf_dir), pr])
-
-
-QUERIES["media_metadata"] = q_media_metadata
-
-_ORACLE_SNAPSHOT_PHP = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge pairs part
-    out = _ORACLE_SNAPSHOT_PHP()
-    base = full_oracle_queries()
-    out["media_metadata"] = (
-        out["media_metadata"] + "\nUNION ALL\n"
-        "SELECT 'pairs' AS part, url_a AS url, hamming AS media_bytes, "
-        "url_b AS media_md5 FROM (" + base["media_phash_pairs"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Token-budget corpus cut (round 5): quality-ranked selection under a
-# global token budget — the distributed "window SUM OVER a global sort
-# order" primitive (weighted histogram-refinement descent, no sort).
-# Merged into the registered `samples` row as part `budget`.
-# ---------------------------------------------------------------------------
 
 
 def q_token_budget_cut(sf_dir: str):
@@ -4177,65 +2483,15 @@ def q_token_budget_cut(sf_dir: str):
     return token_budget_cut(ds)
 
 
-FULL_QUERIES["token_budget_cut"] = q_token_budget_cut
-
-_FULL_ORACLE_SNAPSHOT_BUDGET = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_BUDGET()
-    tok = f"regexp_extract_all(lower(text), '{_TOKEN_RE_SQL}')"
-    stop = f"regexp_extract_all(lower(text), '{_STOP_RE_SQL}')"
-    ratio = ("CASE WHEN len(" + tok + ") > 0 THEN len(" + stop
-             + ") / CAST(greatest(len(" + tok + "), 1) AS DOUBLE) "
-             "ELSE 0.0 END")
-    out["token_budget_cut"] = (
-        f"WITH tb AS (SELECT doc_id, least(len({tok}) / 50.0, 1.0) * 0.5 "
-        f"+ least(({ratio}) * 5.0, 1.0) * 0.5 AS quality_score, "
-        f"CAST(len({tok}) AS BIGINT) AS n_tokens FROM documents), "
+def _token_budget_cut_sql() -> str:
+    return (
+        f"WITH tb AS (SELECT doc_id, {_QUALITY_SQL} AS quality_score, "
+        f"CAST(len({_TOK_SQL}) AS BIGINT) AS n_tokens FROM documents), "
         "tc AS (SELECT doc_id, quality_score, n_tokens, "
         "sum(n_tokens) OVER (ORDER BY quality_score DESC, doc_id) AS cum, "
         "(SELECT sum(n_tokens) // 2 FROM tb) AS b FROM tb) "
         "SELECT doc_id, quality_score, n_tokens, "
         "CAST(cum <= b AS BIGINT) AS keep FROM tc")
-    return out
-
-
-_Q_SAMPLES_PRE_BUDGET = q_samples
-
-
-def q_samples(sf_dir: str):  # noqa: F811
-    """Doc-level deterministic samplers + the token-budget cut part
-    (`budget`: the kept doc_ids of the quality-ranked half-token cut)."""
-    import pyarrow.compute as pc
-
-    kept = _as_ds(FULL_QUERIES["token_budget_cut"](sf_dir)).map_batches(
-        lambda b: b.filter(pc.equal(b.column("keep"), 1)),
-        batch_format="pyarrow")
-    bu = _tag_ds(kept, "budget", [("doc_id", "doc_id", None)])
-    return _union([_Q_SAMPLES_PRE_BUDGET(sf_dir), bu])
-
-
-QUERIES["samples"] = q_samples
-
-_ORACLE_SNAPSHOT_BUDGET = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge budget part
-    out = _ORACLE_SNAPSHOT_BUDGET()
-    base = full_oracle_queries()
-    out["samples"] = (out["samples"] + "\nUNION ALL\n"
-                      "SELECT 'budget' AS part, doc_id FROM ("
-                      + base["token_budget_cut"] + ") WHERE keep = 1")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Token-weighted quality quantiles (round 5): the quality score at which
-# the p-th percentile TOKEN sits — exact weighted order statistics via
-# the multi-target weighted histogram descent (no sort). Merged into the
-# registered `quantile_report` row as part `token_weighted`.
-# ---------------------------------------------------------------------------
 
 
 def q_weighted_quantiles(sf_dir: str):
@@ -4252,16 +2508,10 @@ def q_weighted_quantiles(sf_dir: str):
     return token_weighted_quality_quantiles(ds)
 
 
-FULL_QUERIES["weighted_quantiles"] = q_weighted_quantiles
-
-_FULL_ORACLE_SNAPSHOT_WQ = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_WQ()
-    out["weighted_quantiles"] = (
+def _weighted_quantiles_sql() -> str:
+    return (
         "WITH tb AS (SELECT quality_score AS v, n_tokens AS w FROM ("
-        + out["token_budget_cut"] + ")), "
+        + _token_budget_cut_sql() + ")), "
         "tot AS (SELECT sum(w) AS W FROM tb WHERE w > 0), "
         "c AS (SELECT v, sum(w) OVER (ORDER BY v) AS cum FROM tb "
         "WHERE w > 0), "
@@ -4270,49 +2520,6 @@ def full_oracle_queries():  # noqa: F811 — extends the per-op surface
         "(1, 10), (1, 4), (1, 2), (3, 4), (9, 10)) AS t(num, den)) "
         "SELECT r.q, min(c.v) AS value FROM r JOIN c ON c.cum > r.rk "
         "GROUP BY r.q")
-    return out
-
-
-_Q_QUANTILE_REPORT_PRE_WQ = q_quantile_report
-
-
-def q_quantile_report(sf_dir: str):  # noqa: F811
-    """Global quantile descents in one tagged union: lineitem_price +
-    media_bytes (unweighted kernel) + token_weighted (weighted kernel)."""
-    base = _Q_QUANTILE_REPORT_PRE_WQ(sf_dir)
-    wq = FULL_QUERIES["weighted_quantiles"](sf_dir)
-    return pa.table({
-        "part": pa.concat_arrays([
-            base.column("part").combine_chunks(),
-            pa.array(["token_weighted"] * len(wq), type=pa.string())]),
-        "q": pa.concat_arrays([base.column("q").combine_chunks(),
-                               wq.column("q").combine_chunks()]),
-        "value": pa.concat_arrays([base.column("value").combine_chunks(),
-                                   wq.column("value").combine_chunks()]),
-    })
-
-
-QUERIES["quantile_report"] = q_quantile_report
-
-_ORACLE_SNAPSHOT_WQ = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge wq part
-    out = _ORACLE_SNAPSHOT_WQ()
-    base = full_oracle_queries()
-    out["quantile_report"] = (
-        out["quantile_report"] + "\nUNION ALL\n"
-        "SELECT 'token_weighted' AS part, * FROM ("
-        + base["weighted_quantiles"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# CCNet-style perplexity buckets (round 5): head/middle/tail tercile of
-# the corpus unigram-NLL distribution per doc — thresholds from the
-# shared-pass exact quantile descent. Merged into the registered
-# `lm_scores` row as part `bucket` (bucket id carried in the nll slot).
-# ---------------------------------------------------------------------------
 
 
 def q_perplexity_buckets(sf_dir: str):
@@ -4323,15 +2530,9 @@ def q_perplexity_buckets(sf_dir: str):
     return perplexity_buckets(_docs_ds(sf_dir))
 
 
-FULL_QUERIES["perplexity_buckets"] = q_perplexity_buckets
-
-_FULL_ORACLE_SNAPSHOT_PPL = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_PPL()
-    out["perplexity_buckets"] = (
-        "WITH u AS (" + out["unigram_logprob"] + "), "
+def _perplexity_buckets_sql() -> str:
+    return (
+        "WITH u AS (" + _unigram_logprob_sql() + "), "
         "s AS (SELECT nll, row_number() OVER (ORDER BY nll) - 1 AS r, "
         "count(*) OVER () AS n FROM u), "
         "t AS (SELECT "
@@ -4343,46 +2544,6 @@ def full_oracle_queries():  # noqa: F811 — extends the per-op surface
         "CAST(CASE WHEN u.nll <= (SELECT t1 FROM t) THEN 0 "
         "WHEN u.nll <= (SELECT t2 FROM t) THEN 1 ELSE 2 END AS BIGINT) "
         "AS bucket FROM u")
-    return out
-
-
-_Q_LM_SCORES_PRE_PPL = q_lm_scores
-
-
-def q_lm_scores(sf_dir: str):  # noqa: F811
-    """LM scoring family + the perplexity-tercile labels (part
-    `bucket`: the tercile id rides in the nll slot, n_tokens checks
-    the scored join)."""
-    bucket_spec = [("doc_id", "doc_id", None),
-                   ("n_tokens", "n_tokens", None),
-                   ("nll", "bucket", pa.float64())]
-    bu = _tag_ds(FULL_QUERIES["perplexity_buckets"](sf_dir), "bucket",
-                 bucket_spec)
-    return _union([_Q_LM_SCORES_PRE_PPL(sf_dir), bu])
-
-
-QUERIES["lm_scores"] = q_lm_scores
-
-_ORACLE_SNAPSHOT_PPL = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge bucket part
-    out = _ORACLE_SNAPSHOT_PPL()
-    base = full_oracle_queries()
-    out["lm_scores"] = (
-        out["lm_scores"] + "\nUNION ALL\n"
-        "SELECT 'bucket' AS part, doc_id, n_tokens, "
-        "CAST(bucket AS DOUBLE) AS nll FROM ("
-        + base["perplexity_buckets"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Distributed PCA over the embedding column (round 5): exact integer
-# Gram matrix (oracle-gated, merged into `embedding_pairs` as part
-# `gram`) + top-k principal-component projection (rows-only, merged
-# into `ann_approx` as part `pca`; pinned vs numpy PCA by pytest).
-# ---------------------------------------------------------------------------
 
 
 def q_embedding_gram(sf_dir: str):
@@ -4402,82 +2563,15 @@ def q_embedding_pca(sf_dir: str):
     return embedding_pca(_emb_ds(sf_dir), k=2)
 
 
-FULL_QUERIES["embedding_gram"] = q_embedding_gram
-FULL_QUERIES["embedding_pca"] = q_embedding_pca
-
-_FULL_ORACLE_SNAPSHOT_PCA = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_PCA()
-    out["embedding_gram"] = (
-        "WITH u AS (SELECT vec_id, "
-        "CAST(floor(1000000 * CAST(unnest(embedding) AS DOUBLE)) "
-        "AS BIGINT) AS q, "
-        "generate_subscripts(embedding, 1) - 1 AS idx FROM embeddings) "
-        "SELECT CAST(a.idx AS BIGINT) AS i, CAST(b.idx AS BIGINT) AS j, "
-        "CAST(sum(a.q * b.q) AS BIGINT) AS v "
-        "FROM u a JOIN u b ON a.vec_id = b.vec_id AND a.idx <= b.idx "
-        "GROUP BY 1, 2")
-    return out
-
-
-_Q_EMBEDDING_PAIRS_PRE_GRAM = q_embedding_pairs
-
-
-def q_embedding_pairs(sf_dir: str):  # noqa: F811
-    """Exact cosine pairs (part `pairs`, v rides 0) + the exact integer
-    Gram matrix of the quantized embeddings (part `gram`) — one
-    value-hashed row covering both the pairwise and the second-moment
-    views of the embedding table."""
-    i64 = pa.int64()
-    pairs = _tag_ds(_Q_EMBEDDING_PAIRS_PRE_GRAM(sf_dir), "pairs",
-                    [("vec_a", "vec_a", None), ("vec_b", "vec_b", None),
-                     ("v", ("const", 0), i64)])
-    gram = _tag_ds(FULL_QUERIES["embedding_gram"](sf_dir), "gram",
-                   [("vec_a", "i", None), ("vec_b", "j", None),
-                    ("v", "v", None)])
-    return _union([pairs, gram])
-
-
-QUERIES["embedding_pairs"] = q_embedding_pairs
-
-_Q_ANN_APPROX_PRE_PCA = q_ann_approx
-
-
-def q_ann_approx(sf_dir: str):  # noqa: F811
-    """The approximate top-k paths + the PCA projection layout (part
-    `pca`: one row per vector, rank slot carries the component count;
-    projection VALUES are pinned vs numpy PCA by pytest — rows-only
-    here like the other approximate paths)."""
-    i64 = pa.int64()
-    pca = _tag_ds(FULL_QUERIES["embedding_pca"](sf_dir), "pca",
-                  [("query_id", "vec_id", None), ("rank", ("const", 2), i64),
-                   ("vec_id", "vec_id", None)])
-    return _union([_Q_ANN_APPROX_PRE_PCA(sf_dir), pca])
-
-
-QUERIES["ann_approx"] = q_ann_approx
-
-_ORACLE_SNAPSHOT_PCA = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge gram part
-    out = _ORACLE_SNAPSHOT_PCA()
-    base = full_oracle_queries()
-    out["embedding_pairs"] = _sql_union([
-        ("pairs", "SELECT vec_a, vec_b, CAST(0 AS BIGINT) AS v FROM ("
-                  + _ORACLE_SNAPSHOT_PCA()["embedding_pairs"] + ")"),
-        ("gram", "SELECT i AS vec_a, j AS vec_b, v FROM ("
-                 + base["embedding_gram"] + ")")])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Per-label embedding-centroid cosine matrix (round 5): the embedding-
-# space drift diagnostic between groups. Merged into the registered
-# `embedding_pairs` row as part `centroid`.
-# ---------------------------------------------------------------------------
+def _embedding_gram_sql() -> str:
+    return ("WITH u AS (SELECT vec_id, "
+            "CAST(floor(1000000 * CAST(unnest(embedding) AS DOUBLE)) "
+            "AS BIGINT) AS q, "
+            "generate_subscripts(embedding, 1) - 1 AS idx FROM embeddings) "
+            "SELECT CAST(a.idx AS BIGINT) AS i, CAST(b.idx AS BIGINT) AS j, "
+            "CAST(sum(a.q * b.q) AS BIGINT) AS v "
+            "FROM u a JOIN u b ON a.vec_id = b.vec_id AND a.idx <= b.idx "
+            "GROUP BY 1, 2")
 
 
 def q_label_centroid_sim(sf_dir: str):
@@ -4493,64 +2587,21 @@ def q_label_centroid_sim(sf_dir: str):
     return label_centroid_sim(ds)
 
 
-FULL_QUERIES["label_centroid_sim"] = q_label_centroid_sim
-
-_FULL_ORACLE_SNAPSHOT_CEN = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_CEN()
-    out["label_centroid_sim"] = (
-        "WITH u AS (SELECT CAST(label AS BIGINT) AS label, "
-        "generate_subscripts(embedding, 1) - 1 AS idx, "
-        "CAST(floor(1000000 * CAST(unnest(embedding) AS DOUBLE)) "
-        "AS BIGINT) AS q FROM embeddings), "
-        "s AS (SELECT label, idx, sum(q) AS sq FROM u GROUP BY 1, 2), "
-        "d AS (SELECT a.label AS la, b.label AS lb, sum(a.sq * b.sq) "
-        "AS dot FROM s a JOIN s b ON a.idx = b.idx AND a.label <= b.label "
-        "GROUP BY 1, 2), "
-        "n AS (SELECT la AS l, dot AS nn FROM d WHERE la = lb) "
-        "SELECT d.la AS label_a, d.lb AS label_b, "
-        "CAST(floor(1000000 * (CAST(d.dot AS DOUBLE) "
-        "/ sqrt(CAST(na.nn AS DOUBLE) * CAST(nb.nn AS DOUBLE)))) "
-        "AS BIGINT) AS cos_micro "
-        "FROM d JOIN n na ON na.l = d.la JOIN n nb ON nb.l = d.lb")
-    return out
-
-
-_Q_EMBEDDING_PAIRS_PRE_CEN = q_embedding_pairs
-
-
-def q_embedding_pairs(sf_dir: str):  # noqa: F811
-    """pairs + gram + the per-label centroid cosine matrix (part
-    `centroid`: labels ride the vec slots, cos_micro in v)."""
-    cen = _tag_ds(FULL_QUERIES["label_centroid_sim"](sf_dir), "centroid",
-                  [("vec_a", "label_a", None), ("vec_b", "label_b", None),
-                   ("v", "cos_micro", None)])
-    return _union([_Q_EMBEDDING_PAIRS_PRE_CEN(sf_dir), cen])
-
-
-QUERIES["embedding_pairs"] = q_embedding_pairs
-
-_ORACLE_SNAPSHOT_CEN = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge centroid part
-    out = _ORACLE_SNAPSHOT_CEN()
-    base = full_oracle_queries()
-    out["embedding_pairs"] = (
-        out["embedding_pairs"] + "\nUNION ALL\n"
-        "SELECT 'centroid' AS part, label_a AS vec_a, label_b AS vec_b, "
-        "cos_micro AS v FROM (" + base["label_centroid_sim"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Embedding centroid-distance outliers (round 5): all-integer squared
-# distance to the truncated-integer corpus centroid, flagged above the
-# exact p95 order statistic. Merged into the registered `outlier_flags`
-# row as part `embedding` (dist2 rides the n_chars slot).
-# ---------------------------------------------------------------------------
+def _label_centroid_sim_sql() -> str:
+    return ("WITH u AS (SELECT CAST(label AS BIGINT) AS label, "
+            "generate_subscripts(embedding, 1) - 1 AS idx, "
+            "CAST(floor(1000000 * CAST(unnest(embedding) AS DOUBLE)) "
+            "AS BIGINT) AS q FROM embeddings), "
+            "s AS (SELECT label, idx, sum(q) AS sq FROM u GROUP BY 1, 2), "
+            "d AS (SELECT a.label AS la, b.label AS lb, sum(a.sq * b.sq) "
+            "AS dot FROM s a JOIN s b ON a.idx = b.idx AND a.label <= b.label "
+            "GROUP BY 1, 2), "
+            "n AS (SELECT la AS l, dot AS nn FROM d WHERE la = lb) "
+            "SELECT d.la AS label_a, d.lb AS label_b, "
+            "CAST(floor(1000000 * (CAST(d.dot AS DOUBLE) "
+            "/ sqrt(CAST(na.nn AS DOUBLE) * CAST(nb.nn AS DOUBLE)))) "
+            "AS BIGINT) AS cos_micro "
+            "FROM d JOIN n na ON na.l = d.la JOIN n nb ON nb.l = d.lb")
 
 
 def q_embedding_outliers(sf_dir: str):
@@ -4561,71 +2612,22 @@ def q_embedding_outliers(sf_dir: str):
     return embedding_outliers(_emb_ds(sf_dir))
 
 
-FULL_QUERIES["embedding_outliers"] = q_embedding_outliers
-
-_FULL_ORACLE_SNAPSHOT_EO = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_EO()
-    out["embedding_outliers"] = (
-        "WITH u AS (SELECT vec_id, "
-        "generate_subscripts(embedding, 1) - 1 AS idx, "
-        "CAST(floor(1000000 * CAST(unnest(embedding) AS DOUBLE)) "
-        "AS BIGINT) AS q FROM embeddings), "
-        "m AS (SELECT idx, CAST(sum(q) AS BIGINT) // count(*) AS mi "
-        "FROM u GROUP BY idx), "
-        "d AS (SELECT vec_id, "
-        "CAST(sum((u.q - m.mi) * (u.q - m.mi)) AS BIGINT) AS dist2 "
-        "FROM u JOIN m USING (idx) GROUP BY vec_id), "
-        "s AS (SELECT dist2, row_number() OVER (ORDER BY dist2) - 1 AS r, "
-        "count(*) OVER () AS n FROM d), "
-        "t AS (SELECT dist2 AS thr FROM s WHERE r = "
-        "CAST(floor((CAST(95 AS DOUBLE) / 100) * (n - 1)) AS BIGINT)) "
-        "SELECT vec_id, dist2, "
-        "CAST(dist2 > (SELECT thr FROM t) AS BIGINT) AS outlier FROM d")
-    return out
-
-
-_Q_OUTLIER_FLAGS_PRE_EO = q_outlier_flags
-
-
-def q_outlier_flags(sf_dir: str):  # noqa: F811
-    """Per-source Tukey length fences (part `chars`) + embedding
-    centroid-distance flags (part `embedding`: dist2 in the n_chars
-    slot) — both exact-integer outlier rules on one checked row."""
-    chars = _tag_ds(_Q_OUTLIER_FLAGS_PRE_EO(sf_dir), "chars",
-                    [("doc_id", "doc_id", None), ("source", "source", None),
-                     ("n_chars", "n_chars", None), ("flag", "flag", None)])
-    emb = _tag_ds(FULL_QUERIES["embedding_outliers"](sf_dir), "embedding",
-                  [("doc_id", "vec_id", None),
-                   ("source", ("const", "embedding"), pa.string()),
-                   ("n_chars", "dist2", None), ("flag", "outlier", None)])
-    return _union([chars, emb])
-
-
-QUERIES["outlier_flags"] = q_outlier_flags
-
-_ORACLE_SNAPSHOT_EO = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge embedding part
-    out = _ORACLE_SNAPSHOT_EO()
-    base = full_oracle_queries()
-    out["outlier_flags"] = _sql_union([
-        ("chars", _ORACLE_SNAPSHOT_EO()["outlier_flags"]),
-        ("embedding", "SELECT vec_id AS doc_id, 'embedding' AS source, "
-                      "dist2 AS n_chars, outlier AS flag FROM ("
-                      + base["embedding_outliers"] + ")")])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Train/val/test hash split (round 5): stable-under-growth bucket
-# assignment on the counter RNG (stream 918), all-integer. Test and
-# val memberships merge into the registered `samples` row (the train
-# set is their exact complement, so the whole assignment is pinned).
-# ---------------------------------------------------------------------------
+def _embedding_outliers_sql() -> str:
+    return ("WITH u AS (SELECT vec_id, "
+            "generate_subscripts(embedding, 1) - 1 AS idx, "
+            "CAST(floor(1000000 * CAST(unnest(embedding) AS DOUBLE)) "
+            "AS BIGINT) AS q FROM embeddings), "
+            "m AS (SELECT idx, CAST(sum(q) AS BIGINT) // count(*) AS mi "
+            "FROM u GROUP BY idx), "
+            "d AS (SELECT vec_id, "
+            "CAST(sum((u.q - m.mi) * (u.q - m.mi)) AS BIGINT) AS dist2 "
+            "FROM u JOIN m USING (idx) GROUP BY vec_id), "
+            "s AS (SELECT dist2, row_number() OVER (ORDER BY dist2) - 1 AS r, "
+            "count(*) OVER () AS n FROM d), "
+            "t AS (SELECT dist2 AS thr FROM s WHERE r = "
+            "CAST(floor((CAST(95 AS DOUBLE) / 100) * (n - 1)) AS BIGINT)) "
+            "SELECT vec_id, dist2, "
+            "CAST(dist2 > (SELECT thr FROM t) AS BIGINT) AS outlier FROM d")
 
 
 def q_train_split(sf_dir: str):
@@ -4640,67 +2642,12 @@ def q_train_split(sf_dir: str):
     return train_split(ds, seed=SEED)
 
 
-FULL_QUERIES["train_split"] = q_train_split
-
-_FULL_ORACLE_SNAPSHOT_TS = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_TS()
-    from .rng import sql_substream
-
+def _train_split_sql() -> str:
     sub = sql_substream("doc_id", SEED, 918)
-    out["train_split"] = (
-        f"SELECT doc_id, ({sub}) % 1000 AS bucket, "
-        "CASE WHEN bucket < 10 THEN 'test' "
-        "WHEN bucket < 20 THEN 'val' ELSE 'train' END AS split "
-        "FROM documents")
-    return out
-
-
-_Q_SAMPLES_PRE_SPLIT = q_samples
-
-
-def q_samples(sf_dir: str):  # noqa: F811
-    """Samplers + the token-budget cut + the hash-split memberships
-    (parts split_test / split_val; train is their exact complement)."""
-    import pyarrow.compute as pc
-
-    ts = _as_ds(FULL_QUERIES["train_split"](sf_dir)).materialize()
-    parts = []
-    for name in ("test", "val"):
-        kept = ts.map_batches(
-            lambda b, name=name: b.filter(
-                pc.equal(b.column("split"), name)),
-            batch_format="pyarrow")
-        parts.append(_tag_ds(kept, f"split_{name}",
-                             [("doc_id", "doc_id", None)]))
-    return _union([_Q_SAMPLES_PRE_SPLIT(sf_dir)] + parts)
-
-
-QUERIES["samples"] = q_samples
-
-_ORACLE_SNAPSHOT_TS = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge split parts
-    out = _ORACLE_SNAPSHOT_TS()
-    base = full_oracle_queries()
-    out["samples"] = (
-        out["samples"]
-        + "\nUNION ALL\nSELECT 'split_test' AS part, doc_id FROM ("
-        + base["train_split"] + ") WHERE split = 'test'"
-        + "\nUNION ALL\nSELECT 'split_val' AS part, doc_id FROM ("
-        + base["train_split"] + ") WHERE split = 'val'")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Integer column histogram (round 5): the mergeable distribution sketch
-# completing the sketch family (HLL distincts, CMS counts, histogram) —
-# all-integer bucket rule, exact at any parallelism. Merged into the
-# registered `sketch_counts` row as part `hist`.
-# ---------------------------------------------------------------------------
+    return (f"SELECT doc_id, ({sub}) % 1000 AS bucket, "
+            "CASE WHEN bucket < 10 THEN 'test' "
+            "WHEN bucket < 20 THEN 'val' ELSE 'train' END AS split "
+            "FROM documents")
 
 
 def q_column_histogram(sf_dir: str):
@@ -4716,109 +2663,12 @@ def q_column_histogram(sf_dir: str):
     return int_histogram(ds, "n_chars")
 
 
-FULL_QUERIES["column_histogram"] = q_column_histogram
-
-_FULL_ORACLE_SNAPSHOT_CH = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_CH()
-    from .sketches import int_histogram_sql
-
-    out["column_histogram"] = int_histogram_sql("documents", "n_chars")
-    return out
-
-
-_Q_SKETCH_COUNTS_PRE_CH = q_sketch_counts
-
-
-def q_sketch_counts(sf_dir: str):  # noqa: F811
-    """HLL + CMS + the exact integer histogram sketch (part `hist`:
-    bin rides key as a string, lo_edge in n1, count in n2)."""
-    i64, f64 = pa.int64(), pa.float64()
-    hist = _tag_ds(FULL_QUERIES["column_histogram"](sf_dir), "hist",
-                   [("key", "bin", pa.string()), ("n1", "lo_edge", i64),
-                    ("n2", "count", i64), ("est", ("const", 0.0), f64)])
-    return _union([_Q_SKETCH_COUNTS_PRE_CH(sf_dir), hist])
-
-
-QUERIES["sketch_counts"] = q_sketch_counts
-
-_ORACLE_SNAPSHOT_CH = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge hist part
-    out = _ORACLE_SNAPSHOT_CH()
-    base = full_oracle_queries()
-    out["sketch_counts"] = (
-        out["sketch_counts"] + "\nUNION ALL\n"
-        "SELECT 'hist' AS part, CAST(bin AS VARCHAR) AS key, "
-        "lo_edge AS n1, count AS n2, 0.0 AS est FROM ("
-        + base["column_histogram"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Per-doc n-gram novelty fraction (round 5): the ordered complement of
-# dup_gram_fraction — the share of a doc's distinct k-grams it
-# introduced to the corpus. Merged into the registered `dedup_spans`
-# row as part `novelty`.
-# ---------------------------------------------------------------------------
-
-
 def q_novel_gram_fraction(sf_dir: str):
     """(doc_id, n_grams, n_new, novel_frac) per doc
     (`text/dedup.py:novel_gram_fraction`, k=8)."""
     from .text.dedup import novel_gram_fraction
 
     return novel_gram_fraction(_docs_ds(sf_dir), k=8)
-
-
-FULL_QUERIES["novel_gram_fraction"] = q_novel_gram_fraction
-
-_FULL_ORACLE_SNAPSHOT_NGF = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_NGF()
-    out["novel_gram_fraction"] = oracle.novel_gram_fraction_sql(k=8)
-    return out
-
-
-_Q_DEDUP_SPANS_PRE_NGF = q_dedup_spans_all
-
-
-def q_dedup_spans_all(sf_dir: str):  # noqa: F811
-    """spans + duplication fraction + novelty fraction (part `novelty`:
-    v carries novel_frac)."""
-    nov = _tag_ds(FULL_QUERIES["novel_gram_fraction"](sf_dir), "novelty",
-                  [("k", "doc_id", None), ("a", "n_grams", None),
-                   ("b", "n_new", None), ("v", "novel_frac", None)])
-    return _union([_Q_DEDUP_SPANS_PRE_NGF(sf_dir), nov])
-
-
-QUERIES["dedup_spans"] = q_dedup_spans_all
-
-_ORACLE_SNAPSHOT_NGF = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge novelty part
-    out = _ORACLE_SNAPSHOT_NGF()
-    base = full_oracle_queries()
-    out["dedup_spans"] = (
-        out["dedup_spans"] + "\nUNION ALL\n"
-        "SELECT 'novelty' AS part, doc_id AS k, n_grams AS a, n_new AS b, "
-        "novel_frac AS v FROM (" + base["novel_gram_fraction"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Quality-aware dedup survivors (round 5): keep the HIGHEST-quality
-# member of every near-dup cluster (ties: min doc_id) — production
-# dedup drops the worse copy, not the later one. Merged into the
-# registered `dup_clusters` row as part `best` (survivor slot carries
-# the winner's quality score; both sides IEEE-exact).
-# ---------------------------------------------------------------------------
 
 
 def q_dedup_survivors_quality(sf_dir: str):
@@ -4836,68 +2686,15 @@ def q_dedup_survivors_quality(sf_dir: str):
     return cluster_best_survivors(cc, quality)
 
 
-FULL_QUERIES["dedup_survivors_quality"] = q_dedup_survivors_quality
-
-_FULL_ORACLE_SNAPSHOT_DSQ = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_DSQ()
-    out["dedup_survivors_quality"] = (
-        "WITH c AS (" + oracle.dup_clusters_sql(0.8, 5) + "), "
-        "q AS (SELECT doc_id, quality_score FROM ("
-        + out["token_budget_cut"] + ")), "
-        "r AS (SELECT c.cluster_id, c.node AS doc_id, q.quality_score, "
-        "row_number() OVER (PARTITION BY c.cluster_id "
-        "ORDER BY q.quality_score DESC, c.node) AS rn "
-        "FROM c JOIN q ON q.doc_id = c.node) "
-        "SELECT cluster_id, doc_id, quality_score FROM r WHERE rn = 1")
-    return out
-
-
-_Q_DUP_CLUSTERS_PRE_BEST = q_dup_clusters_full
-
-
-def q_dup_clusters_full(sf_dir: str):  # noqa: F811
-    """clusters + min-id survivors + the quality-argmax survivor per
-    cluster (part `best`: survivor slot carries the winner's quality
-    score as DOUBLE; the min-id parts cast their 0/1 flag to DOUBLE)."""
-    f64 = pa.float64()
-    base = _tag_ds(_Q_DUP_CLUSTERS_PRE_BEST(sf_dir), "clusters",
-                   [("node", "node", None), ("cluster_id", "cluster_id", None),
-                    ("survivor", "survivor", f64)])
-    best = _tag_ds(FULL_QUERIES["dedup_survivors_quality"](sf_dir), "best",
-                   [("node", "doc_id", None),
-                    ("cluster_id", "cluster_id", None),
-                    ("survivor", "quality_score", f64)])
-    return _union([base, best])
-
-
-QUERIES["dup_clusters"] = q_dup_clusters_full
-
-_ORACLE_SNAPSHOT_DSQ = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge best part
-    out = _ORACLE_SNAPSHOT_DSQ()
-    base = full_oracle_queries()
-    out["dup_clusters"] = _sql_union([
-        ("clusters", "SELECT node, cluster_id, "
-                     "CAST(survivor AS DOUBLE) AS survivor FROM ("
-                     + _ORACLE_SNAPSHOT_DSQ()["dup_clusters"] + ")"),
-        ("best", "SELECT doc_id AS node, cluster_id, "
-                 "quality_score AS survivor FROM ("
-                 + base["dedup_survivors_quality"] + ")")])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Corpus-level exact line dedup (round 5): the RefinedWeb/FineWeb
-# inter-document line stage — a line survives only at its globally
-# first occurrence; docs reassembled. Merged into the registered `pii`
-# row as part `linededup` (same hygiene-transform column shape as the
-# `lines` part; the deduped text is value-checked byte-for-byte).
-# ---------------------------------------------------------------------------
+def _dedup_survivors_quality_sql() -> str:
+    return ("WITH c AS (" + oracle.dup_clusters_sql(0.8, 5) + "), "
+            "q AS (SELECT doc_id, quality_score FROM ("
+            + _token_budget_cut_sql() + ")), "
+            "r AS (SELECT c.cluster_id, c.node AS doc_id, q.quality_score, "
+            "row_number() OVER (PARTITION BY c.cluster_id "
+            "ORDER BY q.quality_score DESC, c.node) AS rn "
+            "FROM c JOIN q ON q.doc_id = c.node) "
+            "SELECT cluster_id, doc_id, quality_score FROM r WHERE rn = 1")
 
 
 def q_dedup_lines(sf_dir: str):
@@ -4909,82 +2706,12 @@ def q_dedup_lines(sf_dir: str):
     return dedup_lines(with_lines(_docs_ds(sf_dir), seed=SEED))
 
 
-FULL_QUERIES["dedup_lines"] = q_dedup_lines
-
-_FULL_ORACLE_SNAPSHOT_DLN = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .text.lines import dedup_lines_sql
-
-    out = _FULL_ORACLE_SNAPSHOT_DLN()
-    out["dedup_lines"] = dedup_lines_sql(seed=SEED)
-    return out
-
-
-_Q_PII_PRE_DLN = q_pii
-
-
-def q_pii(sf_dir: str):  # noqa: F811
-    """Text-hygiene transforms + curation verdicts + corpus-level line
-    dedup in one tagged union (part `linededup`: n_email := n_lines,
-    n_ipv4 := n_kept, n_redacted := n_dropped, text := deduped text)."""
-    import pyarrow.compute as pc
-
-    i64 = pa.int64()
-    dl = _as_ds(FULL_QUERIES["dedup_lines"](sf_dir)).map_batches(
-        lambda b: pa.table({
-            "doc_id": b.column("doc_id"),
-            "n_email": b.column("n_lines"),
-            "n_ipv4": b.column("n_kept"),
-            "n_phone": pa.array([0] * len(b), type=pa.int64()),
-            "text": b.column("text"),
-            "n_redacted": pc.subtract(b.column("n_lines"),
-                                      b.column("n_kept")),
-        }), batch_format="pyarrow")
-    part = _tag_ds(dl, "linededup",
-                   [("doc_id", "doc_id", None), ("n_email", "n_email", None),
-                    ("n_ipv4", "n_ipv4", None), ("n_phone", "n_phone", None),
-                    ("text", "text", None),
-                    ("n_redacted", "n_redacted", None)])
-    return _union([_Q_PII_PRE_DLN(sf_dir), part])
-
-
-QUERIES["pii"] = q_pii
-
-_ORACLE_SNAPSHOT_DLN = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge linededup part
-    out = _ORACLE_SNAPSHOT_DLN()
-    base = full_oracle_queries()
-    out["pii"] = (out["pii"] + "\nUNION ALL\n"
-                  "SELECT 'linededup' AS part, doc_id, "
-                  "n_lines AS n_email, n_kept AS n_ipv4, "
-                  "CAST(0 AS BIGINT) AS n_phone, text, "
-                  "n_lines - n_kept AS n_redacted FROM ("
-                  + base["dedup_lines"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# PMI top-k bigram collocations (round 5): rank bigrams by pointwise
-# mutual information instead of raw count — the collocation-mining
-# complement of ngram_topk. Merged into the registered `topk_terms`
-# row as part `pmi` (rank carries the bigram count, score the
-# quantized PMI — both value-checked).
-# ---------------------------------------------------------------------------
-
-
 def q_pmi_topk(sf_dir: str):
     """(gram, n, pmi_micro) top-20 collocations
     (`text/quality.py:pmi_topk`, min_count=5, top_v=4096)."""
     from .text.quality import pmi_topk
 
     return pmi_topk(_docs_ds(sf_dir), k=20, min_count=5)
-
-
-FULL_QUERIES["pmi_topk"] = q_pmi_topk
 
 
 def _pmi_topk_sql(k: int = 20, min_count: int = 5,
@@ -5019,115 +2746,12 @@ def _pmi_topk_sql(k: int = 20, min_count: int = 5,
         f"ORDER BY pmi_micro DESC, gram ASC LIMIT {k}")
 
 
-_FULL_ORACLE_SNAPSHOT_PMI = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_PMI()
-    out["pmi_topk"] = _pmi_topk_sql(k=20, min_count=5)
-    return out
-
-
-_Q_TOPK_TERMS_PRE_PMI = q_topk_terms
-
-
-def q_topk_terms(sf_dir: str):  # noqa: F811
-    """Term rankings + BM25 + PMI collocations in one tagged union
-    (part `pmi`: rank := bigram count, score := quantized PMI)."""
-    i64 = pa.int64()
-    pmi = _tag_ds(FULL_QUERIES["pmi_topk"](sf_dir), "pmi",
-                  [("doc_id", ("const", -1), i64), ("rank", "n", None),
-                   ("term", "gram", None), ("score", "pmi_micro", None)])
-    return _union([_Q_TOPK_TERMS_PRE_PMI(sf_dir), pmi])
-
-
-QUERIES["topk_terms"] = q_topk_terms
-
-_ORACLE_SNAPSHOT_PMI = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge pmi part
-    out = _ORACLE_SNAPSHOT_PMI()
-    base = full_oracle_queries()
-    out["topk_terms"] = (
-        out["topk_terms"] + "\nUNION ALL\n"
-        "SELECT 'pmi' AS part, CAST(-1 AS BIGINT) AS doc_id, "
-        "n AS rank, gram AS term, pmi_micro AS score FROM ("
-        + base["pmi_topk"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Distributed integer-exact k-means (round 5): Lloyd's iterations with
-# deterministic init, truncating-division centroids and int64
-# distances — the clustering primitive under SemDeDup / cluster-
-# balanced selection, here driver-checked bit-for-bit against an
-# unrolled relational SQL twin. Merged into the registered
-# `outlier_flags` row as part `kmeans` (dist2 in the n_chars slot,
-# the cluster id in the flag slot).
-# ---------------------------------------------------------------------------
-
-
 def q_kmeans_clusters(sf_dir: str):
     """(vec_id, cluster, dist2) after 3 Lloyd's rounds, k=8
     (`sim/kmeans.py:kmeans`)."""
     from .sim.kmeans import kmeans
 
     return kmeans(_emb_ds(sf_dir), k=8, iters=3)
-
-
-FULL_QUERIES["kmeans_clusters"] = q_kmeans_clusters
-
-_FULL_ORACLE_SNAPSHOT_KM = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .sim.kmeans import kmeans_sql
-
-    out = _FULL_ORACLE_SNAPSHOT_KM()
-    out["kmeans_clusters"] = kmeans_sql(k=8, iters=3)
-    return out
-
-
-_Q_OUTLIER_FLAGS_PRE_KM = q_outlier_flags
-
-
-def q_outlier_flags(sf_dir: str):  # noqa: F811
-    """Integer-exact outlier rules + the k-means clustering on one
-    checked row (part `kmeans`: n_chars := dist2, flag := cluster)."""
-    km = _tag_ds(FULL_QUERIES["kmeans_clusters"](sf_dir), "kmeans",
-                 [("doc_id", "vec_id", None),
-                  ("source", ("const", "kmeans"), pa.string()),
-                  ("n_chars", "dist2", None), ("flag", "cluster", None)])
-    return _union([_Q_OUTLIER_FLAGS_PRE_KM(sf_dir), km])
-
-
-QUERIES["outlier_flags"] = q_outlier_flags
-
-_ORACLE_SNAPSHOT_KM = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge kmeans part
-    out = _ORACLE_SNAPSHOT_KM()
-    base = full_oracle_queries()
-    out["outlier_flags"] = (
-        out["outlier_flags"] + "\nUNION ALL\n"
-        "SELECT 'kmeans' AS part, vec_id AS doc_id, 'kmeans' AS source, "
-        "dist2 AS n_chars, cluster AS flag FROM ("
-        + base["kmeans_clusters"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# HTML extraction (round 5): the html:binary column stops being a
-# passthrough. Rich pages (head/title/script, nav anchor links reusing
-# the host-graph's closed-form dst arithmetic, entity-encoded body) are
-# synthesized per batch and the REAL extraction kernels run over them:
-# block removal + tag strip + entity decode must recover the source
-# text byte-for-byte (north_rule invariant), and href recovery must
-# reproduce the closed-form link table. Merged into the registered
-# `webpages` row as parts `extract` and `links`.
-# ---------------------------------------------------------------------------
 
 
 def _n_docs(sf_dir: str) -> int:
@@ -5155,115 +2779,23 @@ def q_extract_links(sf_dir: str):
                                        include_html=False), _n_docs(sf_dir))
 
 
-FULL_QUERIES["html_extract"] = q_html_extract
-FULL_QUERIES["extract_links"] = q_extract_links
-
-_FULL_ORACLE_SNAPSHOT_HTML = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .text.rank import LINKS_PER_DOC
-
-    out = _FULL_ORACLE_SNAPSHOT_HTML()
-    # Round-trip identity: the extraction output IS the pages text.
-    out["html_extract"] = (
-        f"WITH {oracle.pages_cte(SEED)} SELECT doc_id, text, "
-        "CAST(1 AS TINYINT) AS identical FROM pages")
-    slots = ", ".join(str(j) for j in range(LINKS_PER_DOC))
-    out["extract_links"] = (
-        "WITH nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM documents) "
-        "SELECT d.doc_id, CAST(j.j AS BIGINT) AS slot, "
-        "((((d.doc_id % nn.n) * (d.doc_id % nn.n)) % nn.n) * 7 "
-        " + d.doc_id * 31 + 97 * j.j + 1) % nn.n AS dst_doc "
-        "FROM documents d CROSS JOIN nn "
-        f"CROSS JOIN (SELECT unnest([{slots}]) AS j) j")
-    return out
+def _html_extract_sql() -> str:
+    # round-trip identity: the extraction output IS the pages text
+    return (f"WITH {oracle.pages_cte(SEED)} SELECT doc_id, text, "
+            "CAST(1 AS TINYINT) AS identical FROM pages")
 
 
-_Q_WEBPAGES_PLAIN = QUERIES["webpages"]
+_LINK_SLOTS_SQL = ", ".join(str(j) for j in range(LINKS_PER_DOC))
+_LINK_DST_SQL = ("((((d.doc_id % nn.n) * (d.doc_id % nn.n)) % nn.n) * 7 "
+                 " + d.doc_id * 31 + 97 * j.j + 1) % nn.n")
 
 
-def q_webpages(sf_dir: str):  # noqa: F811
-    """The input_hint derivation + both html-column extraction passes
-    in one tagged union (parts `pages` / `extract` / `links`): the
-    extract part value-checks byte-identical text recovery from the
-    rich html, the links part value-checks href recovery against the
-    closed-form host-graph arithmetic."""
-    i64 = pa.int64()
-    s = pa.string()
-    ts0 = pa.timestamp("us")
-    pages = _tag_ds(_Q_WEBPAGES_PLAIN(sf_dir), "pages",
-                    [("url", "url", None), ("warc_ts", "warc_ts", None),
-                     ("text", "text", None), ("lang", "lang", None),
-                     ("a", ("const", 0), i64), ("b", ("const", 0), i64)])
-    ext = FULL_QUERIES["html_extract"](sf_dir)
-
-    def ext_proj(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        n = len(b)
-        return pa.table({
-            "part": pa.array(["extract"] * n, type=s),
-            "url": pa.array([""] * n, type=s),
-            "warc_ts": pa.array([0] * n, type=ts0),
-            "text": b.column("text"),
-            "lang": pa.array([""] * n, type=s),
-            "a": b.column("doc_id"),
-            "b": pc.cast(b.column("identical"), i64),
-        })
-
-    lnk = FULL_QUERIES["extract_links"](sf_dir)
-
-    def lnk_proj(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        n = len(b)
-        a = pc.add(pc.multiply(b.column("doc_id"), pa.scalar(4, type=i64)),
-                   b.column("slot"))
-        return pa.table({
-            "part": pa.array(["links"] * n, type=s),
-            "url": pa.array([""] * n, type=s),
-            "warc_ts": pa.array([0] * n, type=ts0),
-            "text": pa.array([""] * n, type=s),
-            "lang": pa.array([""] * n, type=s),
-            "a": a,
-            "b": b.column("dst_doc"),
-        })
-
-    return _union([
-        pages,
-        ext.map_batches(ext_proj, batch_format="pyarrow"),
-        lnk.map_batches(lnk_proj, batch_format="pyarrow")])
-
-
-QUERIES["webpages"] = q_webpages
-
-_ORACLE_SNAPSHOT_HTML = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge html parts
-    out = _ORACLE_SNAPSHOT_HTML()
-    base = full_oracle_queries()
-    out["webpages"] = _sql_union([
-        ("pages", "SELECT url, warc_ts, text, lang, "
-                  "CAST(0 AS BIGINT) AS a, CAST(0 AS BIGINT) AS b FROM ("
-                  + out["webpages"] + ")"),
-        ("extract", "SELECT '' AS url, "
-                    "TIMESTAMP '1970-01-01 00:00:00' AS warc_ts, text, "
-                    "'' AS lang, doc_id AS a, CAST(identical AS BIGINT) "
-                    "AS b FROM (" + base["html_extract"] + ")"),
-        ("links", "SELECT '' AS url, "
-                  "TIMESTAMP '1970-01-01 00:00:00' AS warc_ts, "
-                  "'' AS text, '' AS lang, doc_id * 4 + slot AS a, "
-                  "dst_doc AS b FROM (" + base["extract_links"] + ")")])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Late-event watermark accounting + host-graph degree profile (round
-# 5): the streaming-taxonomy gap (allowed-lateness rule over arrival
-# order) and the crawl-graph profile over the edge table that
-# extract_links recovers from the html column. Merged into `sessions`
-# (part `late`) and `webpages` (part `degrees`).
-# ---------------------------------------------------------------------------
+def _extract_links_sql() -> str:
+    return ("WITH nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM documents) "
+            "SELECT d.doc_id, CAST(j.j AS BIGINT) AS slot, "
+            f"{_LINK_DST_SQL} AS dst_doc "
+            "FROM documents d CROSS JOIN nn "
+            f"CROSS JOIN (SELECT unnest([{_LINK_SLOTS_SQL}]) AS j) j")
 
 
 def q_late_events(sf_dir: str):
@@ -5288,121 +2820,41 @@ def q_host_degrees(sf_dir: str):
                                       include_html=False))
 
 
-FULL_QUERIES["late_events"] = q_late_events
-FULL_QUERIES["host_degrees"] = q_host_degrees
-
-_FULL_ORACLE_SNAPSHOT_LATE = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .stages.events import LATE_ARRIVAL_STREAM, LATE_DELAY_US
-    from .text.rank import LINKS_PER_DOC
-
-    out = _FULL_ORACLE_SNAPSHOT_LATE()
-    from .rng import sql_uniform01
-
+def _late_events_sql() -> str:
     arr = sql_uniform01("event_id", SEED, LATE_ARRIVAL_STREAM)
-    slots = ", ".join(str(j) for j in range(LINKS_PER_DOC))
-    out["late_events"] = (
-        "WITH w AS (SELECT event_id, user_id, epoch_us(ts) AS ts_us, "
-        "max(epoch_us(ts)) OVER (PARTITION BY user_id "
-        f"ORDER BY {arr}, event_id "
-        "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) "
-        f"- {LATE_DELAY_US} AS wm FROM events) "
-        "SELECT event_id, user_id, "
-        "CAST(CASE WHEN wm IS NOT NULL AND ts_us < wm THEN 1 ELSE 0 END "
-        "AS BIGINT) AS is_late, "
-        "CAST(CASE WHEN wm IS NULL THEN 0 ELSE greatest(wm - ts_us, 0) "
-        "END AS BIGINT) AS lateness_us FROM w")
-    out["host_degrees"] = (
-        "WITH nn AS (SELECT CAST(count(*) AS BIGINT) AS n "
-        "FROM documents), "
-        "hh AS (SELECT doc_id, source || '.example.org' AS host "
-        "FROM documents), "
-        "l AS (SELECT d.doc_id AS s, "
-        "((((d.doc_id % nn.n) * (d.doc_id % nn.n)) % nn.n) * 7 "
-        " + d.doc_id * 31 + 97 * j.j + 1) % nn.n AS t "
-        "FROM documents d CROSS JOIN nn "
-        f"CROSS JOIN (SELECT unnest([{slots}]) AS j) j), "
-        "lf AS (SELECT * FROM l WHERE t <> s), "
-        "e AS (SELECT a.host AS src, b.host AS dst, "
-        "CAST(count(*) AS BIGINT) AS w FROM lf "
-        "JOIN hh a ON a.doc_id = lf.s JOIN hh b ON b.doc_id = lf.t "
-        "GROUP BY 1, 2) "
-        "SELECT src AS host, 'out_d' AS metric, "
-        "CAST(count(*) AS BIGINT) AS v FROM e GROUP BY 1 "
-        "UNION ALL SELECT src, 'out_w', CAST(sum(w) AS BIGINT) FROM e GROUP BY 1 "
-        "UNION ALL SELECT dst, 'in_d', CAST(count(*) AS BIGINT) "
-        "FROM e GROUP BY 1 "
-        "UNION ALL SELECT dst, 'in_w', CAST(sum(w) AS BIGINT) FROM e GROUP BY 1 "
-        "UNION ALL SELECT e.src, 'recip', CAST(count(*) AS BIGINT) "
-        "FROM e JOIN e m ON m.src = e.dst AND m.dst = e.src GROUP BY 1")
-    return out
+    return ("WITH w AS (SELECT event_id, user_id, epoch_us(ts) AS ts_us, "
+            "max(epoch_us(ts)) OVER (PARTITION BY user_id "
+            f"ORDER BY {arr}, event_id "
+            "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) "
+            f"- {LATE_DELAY_US} AS wm FROM events) "
+            "SELECT event_id, user_id, "
+            "CAST(CASE WHEN wm IS NOT NULL AND ts_us < wm THEN 1 ELSE 0 END "
+            "AS BIGINT) AS is_late, "
+            "CAST(CASE WHEN wm IS NULL THEN 0 ELSE greatest(wm - ts_us, 0) "
+            "END AS BIGINT) AS lateness_us FROM w")
 
 
-_Q_SESSIONS_PRE_LATE = q_sessions
-
-
-def q_sessions(sf_dir: str):  # noqa: F811
-    """sessions + the late-event watermark accounting (part `late`:
-    n := is_late, v := lateness_us)."""
-    f64 = pa.float64()
-    late = _tag_ds(FULL_QUERIES["late_events"](sf_dir), "late",
-                   [("k1", "event_id", None), ("k2", "user_id", None),
-                    ("n", "is_late", None), ("v", "lateness_us", f64),
-                    ("v2", ("const", 0.0), f64)])
-    return _union([_Q_SESSIONS_PRE_LATE(sf_dir), late])
-
-
-QUERIES["sessions"] = q_sessions
-
-_Q_WEBPAGES_PRE_DEG = q_webpages
-
-
-def q_webpages(sf_dir: str):  # noqa: F811
-    """webpages + the host-graph degree profile (part `degrees`:
-    url := host, text := metric, a := v)."""
-    i64 = pa.int64()
-    deg = _tag_ds(FULL_QUERIES["host_degrees"](sf_dir), "degrees",
-                  [("url", "host", None),
-                   ("warc_ts", ("const", 0), pa.timestamp("us")),
-                   ("text", "metric", None),
-                   ("lang", ("const", ""), pa.string()),
-                   ("a", "v", None), ("b", ("const", 0), i64)])
-    return _union([_Q_WEBPAGES_PRE_DEG(sf_dir), deg])
-
-
-QUERIES["webpages"] = q_webpages
-
-_ORACLE_SNAPSHOT_LATE = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge late+degrees
-    out = _ORACLE_SNAPSHOT_LATE()
-    base = full_oracle_queries()
-    out["sessions"] = (
-        out["sessions"] + "\nUNION ALL\n"
-        "SELECT 'late' AS part, event_id AS k1, user_id AS k2, "
-        "is_late AS n, CAST(lateness_us AS DOUBLE) AS v, 0.0 AS v2 "
-        "FROM (" + base["late_events"] + ")")
-    out["webpages"] = (
-        out["webpages"] + "\nUNION ALL\n"
-        "SELECT 'degrees' AS part, host AS url, "
-        "TIMESTAMP '1970-01-01 00:00:00' AS warc_ts, metric AS text, "
-        "'' AS lang, v AS a, CAST(0 AS BIGINT) AS b FROM ("
-        + base["host_degrees"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Raster <-> vector (round 5): the north_rule's fourth spatial axis.
-# Vector->raster = masked-point density grid (bounded-key histogram
-# partials); raster->vector = zonal stats onto the census polygons,
-# engine-side via the general crossing-number PIP kernel, SQL-side via
-# the grid's closed-form floor arithmetic — two independent PIP
-# implementations checked cell-for-cell. Merged into the registered
-# `k_anonymity` row (parts `raster` and `zonal`).
-# ---------------------------------------------------------------------------
+def _host_degrees_sql() -> str:
+    return ("WITH nn AS (SELECT CAST(count(*) AS BIGINT) AS n "
+            "FROM documents), "
+            "hh AS (SELECT doc_id, source || '.example.org' AS host "
+            "FROM documents), "
+            f"l AS (SELECT d.doc_id AS s, {_LINK_DST_SQL} AS t "
+            "FROM documents d CROSS JOIN nn "
+            f"CROSS JOIN (SELECT unnest([{_LINK_SLOTS_SQL}]) AS j) j), "
+            "lf AS (SELECT * FROM l WHERE t <> s), "
+            "e AS (SELECT a.host AS src, b.host AS dst, "
+            "CAST(count(*) AS BIGINT) AS w FROM lf "
+            "JOIN hh a ON a.doc_id = lf.s JOIN hh b ON b.doc_id = lf.t "
+            "GROUP BY 1, 2) "
+            "SELECT src AS host, 'out_d' AS metric, "
+            "CAST(count(*) AS BIGINT) AS v FROM e GROUP BY 1 "
+            "UNION ALL SELECT src, 'out_w', CAST(sum(w) AS BIGINT) FROM e GROUP BY 1 "
+            "UNION ALL SELECT dst, 'in_d', CAST(count(*) AS BIGINT) "
+            "FROM e GROUP BY 1 "
+            "UNION ALL SELECT dst, 'in_w', CAST(sum(w) AS BIGINT) FROM e GROUP BY 1 "
+            "UNION ALL SELECT e.src, 'recip', CAST(count(*) AS BIGINT) "
+            "FROM e JOIN e m ON m.src = e.dst AND m.dst = e.src GROUP BY 1")
 
 
 def q_rasterize_points(sf_dir: str):
@@ -5423,20 +2875,10 @@ def q_zonal_stats(sf_dir: str):
                        seed=SEED)
 
 
-FULL_QUERIES["rasterize_points"] = q_rasterize_points
-FULL_QUERIES["zonal_stats"] = q_zonal_stats
-
-_FULL_ORACLE_SNAPSHOT_RASTER = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .constants import X_MAX, X_MIN, Y_MAX, Y_MIN
-    from .stages.raster import RASTER_H, RASTER_W
-
-    out = _FULL_ORACLE_SNAPSHOT_RASTER()
+def _rasterize_points_sql() -> str:
     rw = (X_MAX - X_MIN) / RASTER_W
     rh = (Y_MAX - Y_MIN) / RASTER_H
-    raster = (
+    return (
         f"WITH {oracle.donut_cte(SEED, LOW, HIGH, 'uniform')}, "
         "rr AS (SELECT "
         f"least(greatest(CAST(floor((my - {Y_MIN!r}::DOUBLE) / "
@@ -5446,81 +2888,17 @@ def full_oracle_queries():  # noqa: F811 — extends the per-op surface
         "FROM masked) "
         "SELECT cell_row, cell_col, CAST(count(*) AS BIGINT) AS n "
         "FROM rr GROUP BY 1, 2")
-    out["rasterize_points"] = raster
+
+
+def _zonal_stats_sql() -> str:
+    rw = (X_MAX - X_MIN) / RASTER_W
+    rh = (Y_MAX - Y_MIN) / RASTER_H
     cx = f"({X_MIN!r}::DOUBLE + (cell_col + 0.5) * {rw!r}::DOUBLE)"
     cy = f"({Y_MIN!r}::DOUBLE + (cell_row + 0.5) * {rh!r}::DOUBLE)"
-    out["zonal_stats"] = (
-        "SELECT pid AS poly_id, CAST(count(*) AS BIGINT) AS n_cells, "
-        "CAST(sum(n) AS BIGINT) AS n_points FROM ("
-        f"SELECT {oracle.grid_pid(cx, cy)} AS pid, n FROM ({raster})"
-        ") GROUP BY 1")
-    return out
-
-
-_Q_K_ANON_PRE_RASTER = q_k_anonymity_all
-
-
-def q_k_anonymity_all(sf_dir: str):  # noqa: F811
-    """k-anonymity plans + the raster<->vector pair on one checked row
-    (part `raster`: doc_id := cell_row*10^6 + cell_col, k := n; part
-    `zonal`: doc_id := poly_id, k := n_cells*10^9 + n_points — exact
-    int64 packings, mirrored in the SQL)."""
-    i64 = pa.int64()
-
-    def raster_proj(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        n = len(b)
-        did = pc.add(pc.multiply(b.column("cell_row"),
-                                 pa.scalar(1_000_000, type=i64)),
-                     b.column("cell_col"))
-        return pa.table({
-            "part": pa.array(["raster"] * n, type=pa.string()),
-            "doc_id": did, "k_anonymity": b.column("n")})
-
-    def zonal_proj(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        n = len(b)
-        k = pc.add(pc.multiply(b.column("n_cells"),
-                               pa.scalar(1_000_000_000, type=i64)),
-                   b.column("n_points"))
-        return pa.table({
-            "part": pa.array(["zonal"] * n, type=pa.string()),
-            "doc_id": b.column("poly_id"), "k_anonymity": k})
-
-    return _union([
-        _Q_K_ANON_PRE_RASTER(sf_dir),
-        FULL_QUERIES["rasterize_points"](sf_dir)
-        .map_batches(raster_proj, batch_format="pyarrow"),
-        FULL_QUERIES["zonal_stats"](sf_dir)
-        .map_batches(zonal_proj, batch_format="pyarrow")])
-
-
-QUERIES["k_anonymity"] = q_k_anonymity_all
-
-_ORACLE_SNAPSHOT_RASTER = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge raster parts
-    out = _ORACLE_SNAPSHOT_RASTER()
-    base = full_oracle_queries()
-    out["k_anonymity"] = (
-        out["k_anonymity"] + "\nUNION ALL\n"
-        "SELECT 'raster' AS part, cell_row * 1000000 + cell_col AS doc_id, "
-        "n AS k_anonymity FROM (" + base["rasterize_points"] + ")"
-        + "\nUNION ALL\n"
-        "SELECT 'zonal' AS part, poly_id AS doc_id, "
-        "n_cells * 1000000000 + n_points AS k_anonymity FROM ("
-        + base["zonal_stats"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Spatial kNN join (round 5): the k nearest addresses per masked point
-# — the general kNN JOIN from the north_rule's operator list (the
-# engine had kNN(1) and radius counts; this is rank 1..k with
-# bit-exact distances). Merged into the registered `addresses` row as
-# part `knn`.
-# ---------------------------------------------------------------------------
+    return ("SELECT pid AS poly_id, CAST(count(*) AS BIGINT) AS n_cells, "
+            "CAST(sum(n) AS BIGINT) AS n_points FROM ("
+            f"SELECT {oracle.grid_pid(cx, cy)} AS pid, n "
+            f"FROM ({_rasterize_points_sql()})) GROUP BY 1")
 
 
 def q_knn_join(sf_dir: str):
@@ -5532,67 +2910,17 @@ def q_knn_join(sf_dir: str):
                     read_addresses(sf_dir, seed=SEED), k=3)
 
 
-FULL_QUERIES["knn_join"] = q_knn_join
+def _knn_join_sql() -> str:
+    return (f"WITH {oracle.donut_cte(SEED, LOW, HIGH, 'uniform')}, "
+            f"{oracle.addresses_cte(SEED)}, "
+            "dd AS (SELECT m.doc_id, a.addr_id, "
+            "(m.mx - a.ax) * (m.mx - a.ax) + (m.my - a.ay) * (m.my - a.ay) "
+            "AS dist2 FROM masked m CROSS JOIN addr_xy a), "
+            "rk AS (SELECT *, row_number() OVER (PARTITION BY doc_id "
+            "ORDER BY dist2, addr_id) AS rank FROM dd) "
+            "SELECT doc_id, CAST(rank AS BIGINT) AS rank, addr_id, dist2 "
+            "FROM rk WHERE rank <= 3")
 
-_FULL_ORACLE_SNAPSHOT_KNN = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_KNN()
-    out["knn_join"] = (
-        f"WITH {oracle.donut_cte(SEED, LOW, HIGH, 'uniform')}, "
-        f"{oracle.addresses_cte(SEED)}, "
-        "dd AS (SELECT m.doc_id, a.addr_id, "
-        "(m.mx - a.ax) * (m.mx - a.ax) + (m.my - a.ay) * (m.my - a.ay) "
-        "AS dist2 FROM masked m CROSS JOIN addr_xy a), "
-        "rk AS (SELECT *, row_number() OVER (PARTITION BY doc_id "
-        "ORDER BY dist2, addr_id) AS rank FROM dd) "
-        "SELECT doc_id, CAST(rank AS BIGINT) AS rank, addr_id, dist2 "
-        "FROM rk WHERE rank <= 3")
-    return out
-
-
-_Q_ADDRESSES_PLAIN = QUERIES["addresses"]
-
-
-def q_addresses(sf_dir: str):  # noqa: F811
-    """The address side-table derivation + the spatial kNN join on one
-    checked row (part `knn`: lat := dist2, lon := rank, a := doc_id —
-    distances value-checked bit-for-bit)."""
-    i64 = pa.int64()
-    f64 = pa.float64()
-    tbl = _tag_ds(_Q_ADDRESSES_PLAIN(sf_dir), "table",
-                  [("addr_id", "addr_id", None), ("lat", "lat", None),
-                   ("lon", "lon", None), ("a", ("const", 0), i64)])
-    knn = _tag_ds(FULL_QUERIES["knn_join"](sf_dir), "knn",
-                  [("addr_id", "addr_id", None), ("lat", "dist2", None),
-                   ("lon", "rank", f64), ("a", "doc_id", None)])
-    return _union([tbl, knn])
-
-
-QUERIES["addresses"] = q_addresses
-
-_ORACLE_SNAPSHOT_KNN = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge knn part
-    out = _ORACLE_SNAPSHOT_KNN()
-    base = full_oracle_queries()
-    out["addresses"] = _sql_union([
-        ("table", "SELECT addr_id, lat, lon, CAST(0 AS BIGINT) AS a "
-                  "FROM (" + out["addresses"] + ")"),
-        ("knn", "SELECT addr_id, dist2 AS lat, CAST(rank AS DOUBLE) "
-                "AS lon, doc_id AS a FROM (" + base["knn_join"] + ")")])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Distributed DBSCAN (round 5): grid-cell + halo density clustering
-# over the geoparsed points — the density-clustering member of the
-# north_rule's spatial operator family (cells, PIP, kNN, raster<->
-# vector, now clusters). Merged into the registered `graph_masks` row
-# as part `dbscan` (v1 := cluster label, v2 := is_core).
-# ---------------------------------------------------------------------------
 
 DBSCAN_EPS_M = 300.0
 DBSCAN_MIN_PTS = 4
@@ -5608,9 +2936,6 @@ def q_dbscan_clusters(sf_dir: str):
     return dbscan(points_ds(sf_dir), eps=DBSCAN_EPS_M,
                   min_pts=DBSCAN_MIN_PTS).select_columns(
         ["url", "cluster", "is_core"])
-
-
-FULL_QUERIES["dbscan_clusters"] = q_dbscan_clusters
 
 
 def _dbscan_sql(eps: float, min_pts: int) -> str:
@@ -5660,53 +2985,6 @@ LEFT JOIN lab l ON l.doc_id = p.doc_id
 LEFT JOIN bor ON bor.doc_id = p.doc_id"""
 
 
-_FULL_ORACLE_SNAPSHOT_DBSCAN = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_DBSCAN()
-    out["dbscan_clusters"] = _dbscan_sql(DBSCAN_EPS_M, DBSCAN_MIN_PTS)
-    return out
-
-
-_Q_GRAPH_MASKS_PLAIN = QUERIES["graph_masks"]
-
-
-def q_graph_masks_with_dbscan(sf_dir: str):
-    """graph_masks + the DBSCAN part on one checked row (part `dbscan`:
-    v1 := cluster label, v2 := is_core — labels are doc_ids < 2^53, so
-    the float64 projection is exact)."""
-    f64 = pa.float64()
-    db = _tag_ds(FULL_QUERIES["dbscan_clusters"](sf_dir), "dbscan",
-                 [("url", "url", None), ("v1", "cluster", f64),
-                  ("v2", "is_core", f64)])
-    return _union([_Q_GRAPH_MASKS_PLAIN(sf_dir), db])
-
-
-QUERIES["graph_masks"] = q_graph_masks_with_dbscan
-
-_ORACLE_SNAPSHOT_DBSCAN = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge dbscan part
-    out = _ORACLE_SNAPSHOT_DBSCAN()
-    base = full_oracle_queries()
-    out["graph_masks"] = (
-        out["graph_masks"] + "\nUNION ALL\n"
-        "SELECT 'dbscan' AS part, url, CAST(cluster AS DOUBLE) AS v1, "
-        "CAST(is_core AS DOUBLE) AS v2 FROM ("
-        + base["dbscan_clusters"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Getis-Ord Gi* hotspot detection (round 5): spatial-statistics layer
-# over the density raster — "which tiles are significantly denser than
-# chance", the publishable companion of rasterize_points. Merged into
-# the registered `k_anonymity` row as part `hotspot`.
-# ---------------------------------------------------------------------------
-
-
 def q_hotspot_cells(sf_dir: str):
     """(cell_row, cell_col, nbr_sum, w_nbrs, gi_micro) — Gi* z-scores
     (floor(1e6*z), 3x3 self-inclusive binary weights) over the
@@ -5717,26 +2995,18 @@ def q_hotspot_cells(sf_dir: str):
     return hotspot_cells(rasterize_points(masked_ds(sf_dir, "uniform")))
 
 
-FULL_QUERIES["hotspot_cells"] = q_hotspot_cells
-
-_FULL_ORACLE_SNAPSHOT_HOTSPOT = full_oracle_queries
-
-
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    from .stages.raster import RASTER_H, RASTER_W
-
-    out = _FULL_ORACLE_SNAPSHOT_HOTSPOT()
+def _hotspot_cells_sql() -> str:
     n_cells = RASTER_W * RASTER_H
     nm1 = float(n_cells - 1)
     # identical IEEE op order as the engine kernel: mean = double(T)/N,
     # S = sqrt(double(S2)/N - mean*mean), var = int(N*w - w*w)/(N-1),
     # z = (double(nbr) - mean*double(w)) / (S * sqrt(var))
-    out["hotspot_cells"] = (
+    return (
         "WITH x AS ("
         "SELECT g1.r AS cell_row, g2.c AS cell_col, coalesce(b.n, 0) AS v "
         f"FROM generate_series(0, {RASTER_H - 1}) g1(r) "
         f"CROSS JOIN generate_series(0, {RASTER_W - 1}) g2(c) "
-        "LEFT JOIN (" + out["rasterize_points"] + ") b "
+        "LEFT JOIN (" + _rasterize_points_sql() + ") b "
         "ON b.cell_row = g1.r AND b.cell_col = g2.c), "
         "tot AS (SELECT CAST(sum(v) AS BIGINT) AS t, "
         "CAST(sum(v * v) AS BIGINT) AS s2 FROM x), "
@@ -5761,58 +3031,6 @@ def full_oracle_queries():  # noqa: F811 — extends the per-op surface
         f"CAST({n_cells} * nb.w_nbrs - nb.w_nbrs * nb.w_nbrs AS BIGINT) "
         f"/ {nm1!r})))) END AS BIGINT) AS gi_micro "
         "FROM nb, st")
-    return out
-
-
-_Q_K_ANON_PRE_HOTSPOT = QUERIES["k_anonymity"]
-
-
-def q_k_anonymity_with_hotspot(sf_dir: str):
-    """k_anonymity row + the Gi* part (part `hotspot`: doc_id :=
-    cell_row*10^6 + cell_col, k := gi_micro — the quantized z-score;
-    nbr_sum/w_nbrs are value-checked by the full-surface pair and
-    pytest)."""
-    i64 = pa.int64()
-
-    def proj(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        did = pc.add(pc.multiply(b.column("cell_row"),
-                                 pa.scalar(1_000_000, type=i64)),
-                     b.column("cell_col"))
-        return pa.table({
-            "part": pa.array(["hotspot"] * len(b), type=pa.string()),
-            "doc_id": did, "k_anonymity": b.column("gi_micro")})
-
-    return _union([
-        _Q_K_ANON_PRE_HOTSPOT(sf_dir),
-        FULL_QUERIES["hotspot_cells"](sf_dir)
-        .map_batches(proj, batch_format="pyarrow")])
-
-
-QUERIES["k_anonymity"] = q_k_anonymity_with_hotspot
-
-_ORACLE_SNAPSHOT_HOTSPOT = oracle_queries
-
-
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge hotspot part
-    out = _ORACLE_SNAPSHOT_HOTSPOT()
-    base = full_oracle_queries()
-    out["k_anonymity"] = (
-        out["k_anonymity"] + "\nUNION ALL\n"
-        "SELECT 'hotspot' AS part, cell_row * 1000000 + cell_col AS doc_id, "
-        "gi_micro AS k_anonymity FROM ("
-        + base["hotspot_cells"] + ")")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Host triangle counts + clustering coefficients (round 5): the
-# web-graph structure statistic over the same synthesized host link
-# graph as host_rank / host_components — degree-ordered node-iterator
-# triangle counting (each triangle counted once on its lowest-(deg,id)
-# vertex). Merged into the registered `host_filters` row as part
-# `triangles`.
-# ---------------------------------------------------------------------------
 
 
 def q_host_triangles(sf_dir: str):
@@ -5823,9 +3041,6 @@ def q_host_triangles(sf_dir: str):
 
     return host_triangles(read_webpages(sf_dir, seed=SEED,
                                         include_html=False))
-
-
-FULL_QUERIES["host_triangles"] = q_host_triangles
 
 
 def _host_triangles_sql(links: int = 3) -> str:
@@ -5886,52 +3101,800 @@ FROM dg d JOIN hid h ON h.node = d.node
 LEFT JOIN tc ON tc.node = d.node"""
 
 
-_FULL_ORACLE_SNAPSHOT_TRI = full_oracle_queries
+# ---------------------------------------------------------------------------
+# Hand-written pairs: rows and parts that are not a plain projection of
+# one operator's output.
+# ---------------------------------------------------------------------------
 
 
-def full_oracle_queries():  # noqa: F811 — extends the per-op surface
-    out = _FULL_ORACLE_SNAPSHOT_TRI()
-    out["host_triangles"] = _host_triangles_sql()
-    return out
+def q_geoparse_full(sf_dir: str):
+    """Geoparse values AND the text-byte-identity invariant through the
+    FULL flagship pipeline (the ``geoparse`` and ``text_byte_identity``
+    operators in one row): the parsed coordinates/cell and the
+    byte-exact text must both survive mask + verify untouched."""
+    return flagship(sf_dir).select_columns(
+        ["url", "lat", "lon", "x", "y", "cell", "text"])
 
 
-_Q_HOST_FILTERS_PLAIN = QUERIES["host_filters"]
+def _geoparse_full_sql(base: dict) -> str:
+    return (f"WITH {oracle.points_cte(SEED)} "
+            "SELECT url, lat, lon, x, y, cell, text FROM points")
 
 
-def q_host_filters_with_triangles(sf_dir: str):
-    """host_filters row + the triangle part (part `triangles`:
-    doc_id := -1, v := n_tri * 10^7 + clust_micro — an exact int64
-    packing since clust_micro < 10^7; deg is value-checked by the
-    full-surface pair and pytest)."""
-    i64 = pa.int64()
+def q_evaluate_full(sf_dir: str):
+    """evaluate() scalar stats + the absolute NND summary in ONE row
+    (the evaluate and nnd operators; evaluate already subsumes
+    displacement_summary, central_drift, k_summary and k_satisfaction —
+    the reference composes them the same way, `analysis.py:49-79`)."""
+    ev = q_evaluate(sf_dir)
+    nd = q_nnd(sf_dir)
+    cols = {n: ev.column(n) for n in ev.column_names}
+    cols.update({n: nd.column(n) for n in nd.column_names})
+    return pa.table(cols)
 
-    def proj(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        v = pc.add(pc.multiply(b.column("n_tri"),
-                               pa.scalar(10_000_000, type=i64)),
-                   b.column("clust_micro"))
+
+def _evaluate_full_sql(base: dict) -> str:
+    return f"SELECT * FROM ({base['evaluate']}) CROSS JOIN ({base['nnd']})"
+
+
+def q_text_signals(sf_dir: str):
+    """ALL stateless per-doc text signals in one fused scan (the
+    token_stats, quality_score, lang_id, fingerprint, token_count,
+    repetition, quality_filter and normalize_text operators; its oracle
+    joins their eight oracles on doc_id): one read, one map
+    stage, 15 per-doc columns — the single-pass shape the standalone
+    operators compose into at scale."""
+    from .text.quality import text_signals
+
+    return text_signals(_docs_ds(sf_dir))
+
+
+def _text_signals_sql(base: dict) -> str:
+    components = {
+        "t0": base["token_stats"],
+        "t1": base["quality_score"],
+        "t2": base["lang_id"],
+        "t3": base["fingerprint"],
+        "t4": base["token_count"],
+        "t5": base["repetition"],
+        "t6": base["quality_filter"],
+        "t7": ("SELECT doc_id, text AS norm_text, changed FROM ("
+               + base["normalize_text"] + ")"),
+    }
+    with_ = ",\n".join(f"{k} AS ({v})" for k, v in components.items())
+    return (
+        f"WITH {with_}\n"
+        "SELECT t0.doc_id, t0.n_tokens, t0.n_stopwords, t0.stop_ratio,\n"
+        "  t1.quality_score, t2.lang_pred, t3.fingerprint,\n"
+        "  t4.n_ws_tokens, t4.n_bpe_tokens,\n"
+        "  t5.dup_word_frac, t5.top_word_frac, t5.top_bigram_frac,\n"
+        "  t6.keep, t6.reason, t7.norm_text, t7.changed\n"
+        "FROM t0 JOIN t1 USING (doc_id) JOIN t2 USING (doc_id)\n"
+        "  JOIN t3 USING (doc_id) JOIN t4 USING (doc_id)\n"
+        "  JOIN t5 USING (doc_id) JOIN t6 USING (doc_id)\n"
+        "  JOIN t7 USING (doc_id)")
+
+
+def _k_salted(sf_dir: str):
+    """The hot-cell salting shuffle plan (salt=4); it must reproduce the
+    unsalted k_anonymity oracle bit-for-bit."""
+    return calculate_k(flagship(sf_dir), read_addresses(sf_dir, seed=SEED),
+                       mode="shuffle", salt=4)
+
+
+def _pii_fused(sf_dir: str):
+    """pii_stats + pii_redact fused in one scan over the injected corpus."""
+    from .text.pii import pii_redact_batch, pii_stats_batch, with_pii
+
+    def both(b: pa.Table) -> pa.Table:
+        s = pii_stats_batch(b)
+        r = pii_redact_batch(b)
         return pa.table({
-            "part": pa.array(["triangles"] * len(b), type=pa.string()),
-            "doc_id": pa.array([-1] * len(b), type=i64),
-            "host": b.column("host"), "v": v})
+            "doc_id": s.column("doc_id"),
+            "n_email": s.column("n_email"),
+            "n_ipv4": s.column("n_ipv4"),
+            "n_phone": s.column("n_phone"),
+            "text": r.column("text"),
+            "n_redacted": r.column("n_redacted"),
+        })
 
-    return _union([
-        _Q_HOST_FILTERS_PLAIN(sf_dir),
-        FULL_QUERIES["host_triangles"](sf_dir)
-        .map_batches(proj, batch_format="pyarrow")])
-
-
-QUERIES["host_filters"] = q_host_filters_with_triangles
-
-_ORACLE_SNAPSHOT_TRI = oracle_queries
+    return with_pii(_docs_ds(sf_dir)).map_batches(both, batch_format="pyarrow")
 
 
-def oracle_queries() -> dict[str, str]:  # noqa: F811 — merge triangles
-    out = _ORACLE_SNAPSHOT_TRI()
+def _pii_fused_sql(base: dict) -> str:
+    return (f"WITH s AS ({base['pii_stats']}),\n"
+            f"r AS ({base['pii_redact']})\n"
+            "SELECT s.doc_id, s.n_email, s.n_ipv4, s.n_phone, "
+            "r.text, r.n_redacted FROM s JOIN r USING (doc_id)")
+
+
+def _with_column(res, name: str, fn: Callable):
+    """``res`` as a Dataset with ``name`` = fn(batch) appended."""
+    return _as_ds(res).map_batches(
+        lambda b: b.append_column(name, fn(b)), batch_format="pyarrow")
+
+
+def _source_similarity_keyed(sf_dir: str):
+    """source_similarity keyed by the pair 'source_a|source_b'."""
+    import pyarrow.compute as pc
+
+    return _with_column(q_source_similarity(sf_dir), "key", lambda b: (
+        pc.binary_join_element_wise(b.column("source_a"), b.column("source_b"),
+                                    "|")))
+
+
+def _source_similarity_keyed_sql(base: dict) -> str:
+    return ("SELECT *, source_a || '|' || source_b AS key FROM ("
+            + base["source_similarity"] + ")")
+
+
+def _bm25_search_termed(sf_dir: str):
+    """bm25_search with the query carried as the term 'q<query_id>'."""
+    import pyarrow.compute as pc
+
+    return _with_column(q_bm25_search(sf_dir), "term", lambda b: (
+        pc.binary_join_element_wise(
+            pa.array(["q"] * len(b), type=pa.string()),
+            pc.cast(b.column("query_id"), pa.string()), "")))
+
+
+def _bm25_search_termed_sql(base: dict) -> str:
+    return "SELECT *, 'q' || query_id AS term FROM (" + base["bm25_search"] + ")"
+
+
+def _zipf_long(sf_dir: str):
+    """zipf_fit's one row as two (key, n_tokens_fit, value) rows."""
+    zf = q_zipf_fit(sf_dir)
+    keys = ["slope", "intercept"]
+    return pa.table({
+        "key": pa.array(keys, type=pa.string()),
+        "n_tokens_fit": pa.array([zf.column("n_tokens_fit")[0].as_py()] * 2,
+                                 type=pa.int64()),
+        "value": pa.array([zf.column(k)[0].as_py() for k in keys],
+                          type=pa.float64()),
+    })
+
+
+def _zipf_long_sql(base: dict) -> str:
+    return ("SELECT u.key, z.n_tokens_fit, CASE u.key WHEN 'slope' "
+            "THEN z.slope ELSE z.intercept END AS value "
+            "FROM (" + base["zipf_fit"] + ") z, "
+            "(SELECT unnest(['slope', 'intercept']) AS key) u")
+
+
+def _dup_clusters_survivor(sf_dir: str):
+    """dup_clusters with survivor = (node is its cluster's min id)."""
+    import pyarrow.compute as pc
+
+    return _with_column(_dup_clusters_materialized(sf_dir), "survivor",
+                        lambda b: pc.cast(pc.equal(b.column("node"),
+                                                   b.column("cluster_id")),
+                                          pa.int64()))
+
+
+def _dup_clusters_survivor_sql(base: dict) -> str:
+    return ("SELECT node, cluster_id, "
+            "CAST(node = cluster_id AS BIGINT) AS survivor "
+            "FROM (" + base["dup_clusters"] + ")")
+
+
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Op:
+    """One per-operator query: engine function + oracle SQL builder."""
+
+    fn: Callable                           # sf_dir -> Dataset | Table | frame
+    sql: Callable[[], str] | None = None   # None: rows-only
+
+
+@dataclass(frozen=True)
+class Const:
+    """A constant column of a union part."""
+
+    value: object
+
+    def engine(self, b: pa.Table, typ: pa.DataType):
+        return pa.array([self.value] * len(b), type=typ)
+
+    def sql(self) -> str:
+        v = self.value
+        if isinstance(v, str):
+            return "'" + v.replace("'", "''") + "'"
+        if isinstance(v, datetime):
+            return f"TIMESTAMP '{v:%Y-%m-%d %H:%M:%S}'"
+        return repr(v)
+
+
+@dataclass(frozen=True)
+class Pack:
+    """Exact int64 ``a * k + b * kb`` of two integer source columns."""
+
+    a: str
+    k: int
+    b: str
+    kb: int = 1
+
+    def engine(self, b: pa.Table, typ: pa.DataType):
+        import pyarrow.compute as pc
+
+        i64 = pa.int64()
+        return pc.add_checked(
+            pc.multiply_checked(b.column(self.a).cast(i64), self.k),
+            pc.multiply_checked(b.column(self.b).cast(i64), self.kb)).cast(typ)
+
+    def sql(self) -> str:
+        return f'"{self.a}" * {self.k} + "{self.b}" * {self.kb}'
+
+
+@dataclass(frozen=True)
+class Col:
+    """A source column of a union part (``Part.cols`` takes its name)."""
+
+    name: str
+
+    def engine(self, b: pa.Table, typ: pa.DataType):
+        return b.column(self.name).cast(typ)
+
+    def sql(self) -> str:
+        return f'"{self.name}"'
+
+
+@dataclass(frozen=True)
+class Part:
+    """One operator's output projected onto a union row's schema.
+
+    ``cols`` gives, per schema field, a source column name, a ``Const``
+    or a ``Pack`` (default: the schema's own names); ``where`` keeps the
+    rows whose column equals a value. ``fn`` (sf_dir -> result) and
+    ``sql`` (full per-op oracle map -> SQL) replace the operator's own
+    engine function and oracle where the part is not a plain projection.
+    """
+
+    tag: str
+    op: str
+    cols: Sequence | None = None
+    where: tuple | None = None
+    fn: Callable | None = None
+    sql: Callable[[dict], str] | None = None
+
+    def columns(self, schema: pa.Schema) -> list:
+        return [Col(c) if isinstance(c, str) else c
+                for c in (self.cols or schema.names)]
+
+    def has_oracle(self) -> bool:
+        return self.sql is not None or OPS[self.op].sql is not None
+
+
+@dataclass(frozen=True)
+class Row:
+    """A registered row: a tagged union (``schema`` + ``parts``) or a
+    hand-written ``fn``/``sql`` pair (sql takes the per-op oracle map)."""
+
+    schema: pa.Schema | None = None
+    parts: Sequence[Part] = ()
+    fn: Callable | None = None
+    sql: Callable[[dict], str] | None = None
+
+
+_SQL_TYPES = {"string": "VARCHAR", "int64": "BIGINT", "double": "DOUBLE",
+              "timestamp[us]": "TIMESTAMP"}
+
+
+def _as_ds(res):
+    import pandas as pd
+    import ray.data
+
+    if isinstance(res, ray.data.Dataset):
+        return res
+    if isinstance(res, pd.DataFrame):
+        res = pa.Table.from_pandas(res, preserve_index=False)
+    return ray.data.from_arrow(res)
+
+
+def _project(part: Part, schema: pa.Schema, sf_dir: str):
+    """Engine side of one union part: the operator's result, filtered by
+    ``where``, projected and cast onto ``schema`` behind a ``part`` tag."""
+    import pyarrow.compute as pc
+
+    tag, where, cols = part.tag, part.where, part.columns(schema)
+    res = (part.fn or OPS[part.op].fn)(sf_dir)
+
+    def project(b: pa.Table) -> pa.Table:
+        if where:
+            b = b.filter(pc.equal(b.column(where[0]), where[1]))
+        out = {"part": pa.array([tag] * len(b), type=pa.string())}
+        for f, c in zip(schema, cols):
+            out[f.name] = c.engine(b, f.type)
+        return pa.table(out)
+
+    return _as_ds(res).map_batches(project, batch_format="pyarrow")
+
+
+def _part_sql(part: Part, schema: pa.Schema, base: dict) -> str:
+    """Oracle side of one union part, cast onto ``schema``."""
+    src = part.sql(base) if part.sql else base[part.op]
+    cols = ", ".join(
+        f'CAST({c.sql()} AS {_SQL_TYPES[str(f.type)]}) AS "{f.name}"'
+        for f, c in zip(schema, part.columns(schema)))
+    where = (f' WHERE "{part.where[0]}" = {Const(part.where[1]).sql()}'
+             if part.where else "")
+    return f"SELECT '{part.tag}' AS part, {cols} FROM ({src}){where}"
+
+
+def _row_fn(row) -> Callable:
+    if isinstance(row, str):
+        return OPS[row].fn
+    if row.fn:
+        return row.fn
+
+    def union(sf_dir: str):
+        dss = [_project(p, row.schema, sf_dir) for p in row.parts]
+        return dss[0].union(*dss[1:])
+
+    return union
+
+
+def _row_sql(row, base: dict) -> str | None:
+    """The row's oracle, or None for a rows-only row."""
+    if isinstance(row, str):
+        return base.get(row)
+    if row.fn:
+        return row.sql(base)
+    if not any(p.has_oracle() for p in row.parts):
+        return None
+    return "\nUNION ALL\n".join(_part_sql(p, row.schema, base)
+                                for p in row.parts)
+
+
+OPS: dict[str, Op] = {
+    # geospatial reference surface (SURVEY §2.1-2.4)
+    "webpages": Op(q_webpages, _webpages_sql),
+    "geoparse": Op(q_geoparse, _geoparse_sql),
+    "text_byte_identity": Op(q_text_byte_identity, _text_byte_identity_sql),
+    "donut_uniform": Op(q_donut_uniform, lambda: _donut_sql("uniform")),
+    "donut_areal": Op(q_donut_areal, lambda: _donut_sql("areal")),
+    "donut_gaussian": Op(q_donut_gaussian, _donut_gaussian_sql),
+    "donut_contained": Op(q_donut_contained, _donut_contained_sql),
+    "displacement": Op(q_displacement, _displacement_sql),
+    "displacement_summary": Op(q_displacement_summary,
+                               _displacement_summary_sql),
+    "central_drift": Op(q_central_drift, _central_drift_sql),
+    "k_anonymity": Op(q_k_anonymity, _k_anonymity_sql),
+    "k_satisfaction": Op(q_k_satisfaction, _k_satisfaction_sql),
+    "k_summary": Op(q_k_summary, _k_summary_sql),
+    "nnd": Op(q_nnd, _nnd_sql),
+    "addresses": Op(q_addresses, _addresses_sql),
+    "suppress": Op(q_suppress, _suppress_sql),
+    "locationswap": Op(q_locationswap, _locationswap_sql),
+    "street_mask": Op(q_street, _street_mask_sql),
+    "street_mask_sharded": Op(q_street_sharded, _street_mask_sql),
+    "street_k": Op(q_street_k, _street_k_sql),
+    "snap_to_streets": Op(q_snap_to_streets, _snap_to_streets_sql),
+    "voronoi": Op(q_voronoi, _voronoi_sql),
+    # text signals, dedup, similarity, multimodal (SURVEY §2.6)
+    "token_stats": Op(q_token_stats, _token_stats_sql),
+    "quality_score": Op(q_quality_score, _quality_score_sql),
+    "lang_id": Op(q_lang_id, _lang_sql),
+    "fingerprint": Op(q_fingerprint, _fingerprint_sql),
+    "dedup_exact": Op(q_dedup_exact, _dedup_exact_sql),
+    "dedup_jaccard": Op(q_dedup_jaccard, _dedup_jaccard_sql),
+    "dedup_jaccard_ngram": Op(q_dedup_jaccard_ngram,
+                              lambda: oracle.jaccard_ngram_sql(threshold=0.8)),
+    "token_count": Op(q_token_count, _token_count_sql),
+    "repetition": Op(q_repetition, _repetition_sql),
+    "source_stats": Op(q_source_stats, _source_stats_sql),
+    "quality_filter": Op(q_quality_filter, _quality_filter_sql),
+    "ngram_topk": Op(q_ngram_topk, lambda: _ngram_topk_sql(k=20)),
+    "sample_mix": Op(q_sample_mix, lambda: _sample_mix_sql(SEED)),
+    "dedup_spans": Op(q_dedup_spans, lambda: _dedup_spans_sql(k=15)),
+    "decontaminate": Op(q_decontaminate,
+                        lambda: _decontaminate_sql(n=5, mod=97)),
+    "fingerprint_winnow": Op(q_fingerprint_winnow,
+                             lambda: oracle.winnow_sql(k=5, w=4)),
+    "dedup_minhash": Op(q_dedup_minhash,
+                        lambda: oracle.minhash_pairs_sql(threshold=0.8)),
+    "dedup_simhash": Op(q_dedup_simhash,
+                        lambda: oracle.simhash_pairs_sql(max_hamming=3)),
+    "embedding_pairs": Op(q_embedding_pairs, _embedding_pairs_sql),
+    "ann_topk": Op(q_ann_topk, _ann_topk_sql),
+    "ann_lsh": Op(q_ann_lsh),
+    "ann_ivf": Op(q_ann_ivf),
+    "ann_pairs_lsh": Op(q_ann_pairs_lsh),
+    "dedup_semantic": Op(q_dedup_semantic),
+    "media_metadata": Op(q_media_metadata, _media_metadata_sql),
+    "media_decode": Op(q_media_decode),
+    # analysis
+    "estimate_k_areal": Op(q_estimate_k_areal, _estimate_k_areal_sql),
+    "ripleys_k": Op(q_ripley,
+                    lambda: oracle.ripley_sql(SEED, simulations=19, steps=10)),
+    "evaluate": Op(q_evaluate, _evaluate_sql),
+    "checkpointed_flagship": Op(q_checkpointed_flagship,
+                                _checkpointed_flagship_sql),
+    # events
+    "tumbling_window": Op(q_tumbling_window, _tumbling_window_sql),
+    "asof_join": Op(q_asof_join, _asof_join_sql),
+    "range_join": Op(q_range_join, _range_join_sql),
+    "sessionize": Op(q_sessionize, _sessionize_sql),
+    # curation
+    "pii_stats": Op(q_pii_stats, lambda: oracle.pii_stats_sql(every=5)),
+    "pii_redact": Op(q_pii_redact, lambda: oracle.pii_redact_sql(every=5)),
+    "chunk_dedup": Op(q_chunk_dedup, lambda: oracle.chunk_dedup_sql(size=16)),
+    "dup_clusters": Op(q_dup_clusters,
+                       lambda: oracle.dup_clusters_sql(threshold=0.8, ngram=5)),
+    "quantiles": Op(q_quantiles, _quantiles_sql),
+    "hopping_window": Op(q_hopping_window, _hopping_window_sql),
+    "top_quality_per_source": Op(q_top_quality_per_source,
+                                 _top_quality_per_source_sql),
+    "normalize_text": Op(q_normalize_text, _normalize_text_sql),
+    "domain_stats": Op(q_domain_stats, _domain_stats_sql),
+    "unigram_logprob": Op(q_unigram_logprob, _unigram_logprob_sql),
+    "dedup_survivors": Op(q_dedup_survivors, _dedup_survivors_sql),
+    "window_distinct_users": Op(q_window_distinct_users,
+                                _window_distinct_users_sql),
+    "window_top_types": Op(q_window_top_types, _window_top_types_sql),
+    "pricing_summary": Op(q_pricing_summary, _pricing_summary_sql),
+    "top_orders": Op(q_top_orders, _top_orders_sql),
+    "filter_by_nll": Op(q_filter_by_nll, _filter_by_nll_sql),
+    "sample_fixed_k": Op(q_sample_fixed_k, _sample_fixed_k_sql),
+    "geo_scrub": Op(q_geo_scrub, _geo_scrub_sql),
+    "source_quantiles": Op(q_source_quantiles, _source_quantiles_sql),
+    "media_size_quantiles": Op(q_media_size_quantiles,
+                               _media_size_quantiles_sql),
+    "session_stats": Op(q_session_stats, _session_stats_sql),
+    "event_funnel": Op(q_event_funnel, _event_funnel_sql),
+    "hll_distinct": Op(q_hll_users,
+                       lambda: hll_sql("events", "user_id", "event_type")),
+    "weighted_sample": Op(q_weighted_sample, _weighted_sample_sql),
+    "host_cap_sample": Op(q_host_cap_sample, _host_cap_sample_sql),
+    "host_blocklist_filter": Op(q_host_blocklist_filter,
+                                _host_blocklist_filter_sql),
+    "cross_corpus_dedup": Op(q_cross_corpus_dedup, oracle.cross_corpus_sql),
+    "media_frames": Op(q_media_frames),
+    "cms_counts": Op(q_cms_counts, lambda: cms_sql("documents", _CMS_PROBES)),
+    "url_dedup": Op(q_url_dedup, _url_dedup_sql),
+    "tfidf_topk": Op(q_tfidf_topk, _tfidf_topk_sql),
+    "outlier_flags": Op(q_outlier_flags, _outlier_flags_sql),
+    # round 5
+    "sequence_pack": Op(q_sequence_pack),
+    "shuffle_shards": Op(q_shuffle_shards),
+    "decontaminate_bloom": Op(
+        q_decontaminate_bloom,
+        lambda: oracle.decontaminate_bloom_sql(n=5, mod=97)),
+    "bm25_topk": Op(q_bm25_topk, lambda: _bm25_sql(k=3, top_v=4096)),
+    "ann_pq": Op(q_ann_pq),
+    "host_rank": Op(q_host_rank, lambda: oracle.host_rank_sql(SEED)),
+    "bigram_logprob": Op(q_bigram_logprob,
+                         lambda: _bigram_lm_sql(top_v=4096)),
+    "dsir_weights": Op(q_dsir_weights,
+                       lambda: dsir_sql(target_lang="en", seed=SEED)),
+    "dsir_sample": Op(q_dsir_sample,
+                      lambda: dsir_sql(target_lang="en", seed=SEED, k=100)),
+    "source_similarity": Op(q_source_similarity, oracle.source_similarity_sql),
+    "line_filter": Op(q_line_filter, lambda: line_filter_sql(seed=SEED)),
+    "bm25_search": Op(q_bm25_search, lambda: bm25_search_sql(k=10)),
+    "snapshot_delta": Op(q_snapshot_delta,
+                         lambda: snapshot_delta_sql(oracle.pages_cte(SEED))),
+    "snapshot_delta_stats": Op(
+        q_snapshot_delta_stats,
+        lambda: snapshot_delta_sql(oracle.pages_cte(SEED), per_host=True)),
+    "host_components": Op(q_host_components,
+                          lambda: oracle.host_components_sql(SEED)),
+    "window_anomaly": Op(q_window_anomaly, window_anomaly_sql),
+    "zipf_fit": Op(q_zipf_fit, zipf_fit_sql),
+    "trimmed_source_stats": Op(q_trimmed_source_stats,
+                               trimmed_source_stats_sql),
+    "source_token_hll": Op(q_source_token_hll, source_token_hll_sql),
+    "dup_gram_fraction": Op(q_dup_gram_fraction,
+                            lambda: oracle.dup_gram_fraction_sql(k=8)),
+    "curate_corpus": Op(q_curate_corpus, curate_corpus_sql),
+    "sample_fixed_k_per_source": Op(q_sample_fixed_k_per_source,
+                                    _sample_fixed_k_per_source_sql),
+    "source_mix_weights": Op(q_source_mix_weights, _source_mix_weights_sql),
+    "source_budget_alloc": Op(q_source_budget_alloc,
+                              _source_budget_alloc_sql),
+    "source_kl": Op(q_source_kl, _source_kl_sql),
+    "media_phash": Op(q_media_phash, _media_phash_sql),
+    "media_phash_pairs": Op(q_media_phash_pairs, _media_phash_pairs_sql),
+    "token_budget_cut": Op(q_token_budget_cut, _token_budget_cut_sql),
+    "weighted_quantiles": Op(q_weighted_quantiles, _weighted_quantiles_sql),
+    "perplexity_buckets": Op(q_perplexity_buckets, _perplexity_buckets_sql),
+    "embedding_gram": Op(q_embedding_gram, _embedding_gram_sql),
+    "embedding_pca": Op(q_embedding_pca),
+    "label_centroid_sim": Op(q_label_centroid_sim, _label_centroid_sim_sql),
+    "embedding_outliers": Op(q_embedding_outliers, _embedding_outliers_sql),
+    "train_split": Op(q_train_split, _train_split_sql),
+    "column_histogram": Op(q_column_histogram,
+                           lambda: int_histogram_sql("documents", "n_chars")),
+    "novel_gram_fraction": Op(q_novel_gram_fraction,
+                              lambda: oracle.novel_gram_fraction_sql(k=8)),
+    "dedup_survivors_quality": Op(q_dedup_survivors_quality,
+                                  _dedup_survivors_quality_sql),
+    "dedup_lines": Op(q_dedup_lines, lambda: dedup_lines_sql(seed=SEED)),
+    "pmi_topk": Op(q_pmi_topk, lambda: _pmi_topk_sql(k=20, min_count=5)),
+    "kmeans_clusters": Op(q_kmeans_clusters, lambda: kmeans_sql(k=8, iters=3)),
+    "html_extract": Op(q_html_extract, _html_extract_sql),
+    "extract_links": Op(q_extract_links, _extract_links_sql),
+    "late_events": Op(q_late_events, _late_events_sql),
+    "host_degrees": Op(q_host_degrees, _host_degrees_sql),
+    "rasterize_points": Op(q_rasterize_points, _rasterize_points_sql),
+    "zonal_stats": Op(q_zonal_stats, _zonal_stats_sql),
+    "knn_join": Op(q_knn_join, _knn_join_sql),
+    "dbscan_clusters": Op(q_dbscan_clusters,
+                          lambda: _dbscan_sql(DBSCAN_EPS_M, DBSCAN_MIN_PTS)),
+    "hotspot_cells": Op(q_hotspot_cells, _hotspot_cells_sql),
+    "host_triangles": Op(q_host_triangles, _host_triangles_sql),
+}
+
+S, I64, F64 = pa.string(), pa.int64(), pa.float64()
+EPOCH = datetime(1970, 1, 1)
+
+# The driver's correctness panel records at most 50 rows per round, so
+# every operator's values ride one of these 50 checked rows.
+ROWS: dict[str, str | Row] = {
+    # geospatial reference surface (SURVEY §2.1-2.4)
+    "webpages": Row(pa.schema({"url": S, "warc_ts": pa.timestamp("us"),
+                               "text": S, "lang": S, "a": I64, "b": I64}), [
+        Part("pages", "webpages",
+             ("url", "warc_ts", "text", "lang", Const(0), Const(0))),
+        # text re-extracted from the rich html: byte-identical recovery
+        Part("extract", "html_extract", (Const(""), Const(EPOCH), "text",
+                                         Const(""), "doc_id", "identical")),
+        # hrefs recovered against the closed-form host-graph arithmetic
+        Part("links", "extract_links",
+             (Const(""), Const(EPOCH), Const(""), Const(""),
+              Pack("doc_id", 4, "slot"), "dst_doc")),
+        Part("degrees", "host_degrees",
+             ("host", Const(EPOCH), "metric", Const(""), "v", Const(0)))]),
+    "geoparse": Row(fn=q_geoparse_full, sql=_geoparse_full_sql),
+    "donut_masks": Row(pa.schema({"url": S, "mx": F64, "my": F64}), [
+        Part("uniform", "donut_uniform"), Part("areal", "donut_areal"),
+        Part("gaussian", "donut_gaussian")]),
+    "containment": Row(pa.schema({"url": S, "mx": F64, "my": F64,
+                                  "UNMASKED": I64}), [
+        Part("contained", "donut_contained"),
+        Part("locationswap", "locationswap")]),
+    "displacement": "displacement",
+    "evaluate": Row(fn=q_evaluate_full, sql=_evaluate_full_sql),
+    "k_anonymity": Row(pa.schema({"doc_id": I64, "k_anonymity": I64}), [
+        Part("addresses", "k_anonymity"),
+        Part("salted", "k_anonymity", fn=_k_salted),
+        Part("areal", "estimate_k_areal"),
+        Part("raster", "rasterize_points",
+             (Pack("cell_row", 1_000_000, "cell_col"), "n")),
+        Part("zonal", "zonal_stats",
+             ("poly_id", Pack("n_cells", 1_000_000_000, "n_points"))),
+        # the quantized z-score; nbr_sum/w_nbrs are checked per operator
+        Part("hotspot", "hotspot_cells",
+             (Pack("cell_row", 1_000_000, "cell_col"), "gi_micro"))]),
+    "suppress": "suppress",
+    "addresses": Row(pa.schema({"addr_id": I64, "lat": F64, "lon": F64,
+                                "a": I64}), [
+        Part("table", "addresses", ("addr_id", "lat", "lon", Const(0))),
+        Part("knn", "knn_join", ("addr_id", "dist2", "rank", "doc_id"))]),
+    "street_masks": Row(pa.schema({"url": S, "snap_node": I64,
+                                   "on_node": I64}), [
+        Part("broadcast", "street_mask"),
+        Part("sharded", "street_mask_sharded")]),
+    "graph_masks": Row(pa.schema({"url": S, "v1": F64, "v2": F64}), [
+        Part("street_k", "street_k", ("url", "on_node", "sup_ok")),
+        Part("snap", "snap_to_streets", ("url", "mx", "my")),
+        Part("voronoi", "voronoi", ("url", "on_boundary", Const(1.0))),
+        Part("dbscan", "dbscan_clusters", ("url", "cluster", "is_core"))]),
+    "ripleys_k": "ripleys_k",
+    "checkpointed_flagship": "checkpointed_flagship",
+    # text signals / corpus curation (SURVEY §2.6)
+    "text_signals": Row(fn=q_text_signals, sql=_text_signals_sql),
+    "corpus_stats": Row(pa.schema({"key": S, "n_rows": I64, "n_tokens": I64,
+                                   "n_chars": I64, "avg_chars": F64}), [
+        Part("source", "source_stats",
+             ("source", "n_docs", "n_tokens", "n_chars", "avg_chars")),
+        Part("host", "domain_stats",
+             ("host", "n_pages", Const(0), "n_chars", Const(0.0))),
+        # the Jaccard estimate is an exact dyadic n/64
+        Part("similarity", "source_similarity",
+             ("key", "n_match", Const(0), Const(0), "jaccard_est"),
+             fn=_source_similarity_keyed, sql=_source_similarity_keyed_sql),
+        Part("zipf", "zipf_fit",
+             ("key", "n_tokens_fit", Const(0), Const(0), "value"),
+             fn=_zipf_long, sql=_zipf_long_sql),
+        Part("mix", "source_mix_weights",
+             ("source", "n_docs", "q_sqrt", "w_ppm", Const(0.0))),
+        Part("alloc", "source_budget_alloc",
+             ("source", "n_docs", "alloc", "budget", Const(0.0))),
+        Part("kl", "source_kl",
+             ("source", "n_tokens", "s_q", Const(0), "kl"))]),
+    "topk_terms": Row(pa.schema({"doc_id": I64, "rank": I64, "term": S,
+                                 "score": I64}), [
+        Part("corpus_bigram", "ngram_topk",
+             (Const(-1), Const(0), "gram", "n")),
+        Part("tfidf", "tfidf_topk", ("doc_id", "rank", "token", "score_micro")),
+        Part("bm25", "bm25_topk", ("doc_id", "rank", "token", "score_micro")),
+        Part("search", "bm25_search", ("doc_id", "rank", "term", "score_micro"),
+             fn=_bm25_search_termed, sql=_bm25_search_termed_sql),
+        Part("pmi", "pmi_topk", (Const(-1), "n", "gram", "pmi_micro"))]),
+    "fingerprint_winnow": "fingerprint_winnow",
+    "lm_scores": Row(pa.schema({"doc_id": I64, "n_tokens": I64,
+                                "nll": F64}), [
+        Part("scored", "unigram_logprob"),
+        Part("kept", "filter_by_nll"),
+        # n_tokens counts adjacent bigrams
+        Part("bigram", "bigram_logprob"),
+        # the int64 Gumbel key casts to double exactly (|key| << 2^53)
+        Part("dsir", "dsir_weights", ("doc_id", "n_feats", "key_micro")),
+        Part("bucket", "perplexity_buckets", ("doc_id", "n_tokens", "bucket"))]),
+    "samples": Row(pa.schema({"doc_id": I64}), [
+        Part("mix", "sample_mix"),
+        Part("weighted", "weighted_sample"),
+        Part("fixed_k", "sample_fixed_k"),
+        Part("dsir", "dsir_sample"),
+        Part("per_source", "sample_fixed_k_per_source"),
+        Part("budget", "token_budget_cut", where=("keep", 1)),
+        # train is the exact complement of test and val
+        Part("split_test", "train_split", where=("split", "test")),
+        Part("split_val", "train_split", where=("split", "val"))]),
+    "host_filters": Row(pa.schema({"doc_id": I64, "host": S, "v": I64}), [
+        Part("cap", "host_cap_sample", ("doc_id", "host", Const(0))),
+        Part("blocklist", "host_blocklist_filter",
+             ("doc_id", "host", Const(0))),
+        Part("rank", "host_rank", (Const(-1), "host", "rank_micro")),
+        Part("components", "host_components",
+             (Const(-1), "host", "component")),
+        # clust_micro < 10^7; deg is checked per operator
+        Part("triangles", "host_triangles",
+             (Const(-1), "host", Pack("n_tri", 10_000_000, "clust_micro")))]),
+    "url_dedup": Row(pa.schema({"canonical_url": S, "kept_fetch_id": I64,
+                                "doc_id": I64, "n_fetches": I64}), [
+        Part("canonical", "url_dedup"),
+        Part("delta", "snapshot_delta",
+             ("url", "status", Const(-1), Const(-1))),
+        Part("delta_hosts", "snapshot_delta_stats",
+             ("host", "status", Const(-1), "n"))]),
+    "pii": Row(pa.schema({"doc_id": I64, "n_email": I64, "n_ipv4": I64,
+                          "n_phone": I64, "text": S, "n_redacted": I64}), [
+        Part("pii", "pii_stats", fn=_pii_fused, sql=_pii_fused_sql),
+        Part("lines", "line_filter",
+             ("doc_id", "n_lines", "n_kept", Const(0), "text",
+              Pack("n_lines", 1, "n_kept", -1))),
+        # each doc's curation verdict rides the text column
+        Part("curation", "curate_corpus",
+             ("doc_id", Const(0), Const(0), Const(0), "status", Const(0))),
+        Part("linededup", "dedup_lines",
+             ("doc_id", "n_lines", "n_kept", Const(0), "text",
+              Pack("n_lines", 1, "n_kept", -1)))]),
+    "geo_scrub": "geo_scrub",
+    "quantile_report": Row(pa.schema({"q": F64, "value": F64}), [
+        Part("lineitem_price", "quantiles"),
+        Part("media_bytes", "media_size_quantiles"),
+        Part("token_weighted", "weighted_quantiles")]),
+    "source_quantiles": Row(pa.schema({"source": S, "a": F64, "b": F64,
+                                       "c": F64}), [
+        Part("quartiles", "source_quantiles", ("source", "q25", "q50", "q75")),
+        Part("trimmed", "trimmed_source_stats",
+             ("source", "n_kept", "trimmed_mean", Const(0.0)))]),
+    "outlier_flags": Row(pa.schema({"doc_id": I64, "source": S,
+                                    "n_chars": I64, "flag": I64}), [
+        Part("chars", "outlier_flags"),
+        Part("embedding", "embedding_outliers",
+             ("vec_id", Const("embedding"), "dist2", "outlier")),
+        Part("kmeans", "kmeans_clusters",
+             ("vec_id", Const("kmeans"), "dist2", "cluster"))]),
+    "decontaminate": Row(pa.schema({"doc_id": I64, "n_hit_grams": I64,
+                                    "contaminated": I64}), [
+        Part("exact", "decontaminate"), Part("bloom", "decontaminate_bloom")]),
+    "cross_corpus_dedup": "cross_corpus_dedup",
+    # dedup family
+    "dedup_exact": "dedup_exact",
+    "jaccard_pairs": Row(pa.schema({"doc_a": I64, "doc_b": I64,
+                                    "sim": F64}), [
+        Part("token", "dedup_jaccard"), Part("ngram", "dedup_jaccard_ngram")]),
+    "dedup_minhash": "dedup_minhash",
+    "dedup_simhash": "dedup_simhash",
+    "dup_clusters": Row(pa.schema({"node": I64, "cluster_id": I64,
+                                   "survivor": F64}), [
+        Part("clusters", "dup_clusters", fn=_dup_clusters_survivor,
+             sql=_dup_clusters_survivor_sql),
+        Part("best", "dedup_survivors_quality",
+             ("doc_id", "cluster_id", "quality_score"))]),
+    "dedup_spans": Row(pa.schema({"k": I64, "a": I64, "b": I64, "v": F64}), [
+        Part("spans", "dedup_spans",
+             ("gram_hash", "n_docs", "first_doc", Const(0.0))),
+        Part("fraction", "dup_gram_fraction",
+             ("doc_id", "n_grams", "n_dup", "dup_frac")),
+        Part("novelty", "novel_gram_fraction",
+             ("doc_id", "n_grams", "n_new", "novel_frac"))]),
+    "chunk_dedup": "chunk_dedup",
+    # similarity / ANN
+    "embedding_pairs": Row(pa.schema({"vec_a": I64, "vec_b": I64,
+                                      "v": I64}), [
+        Part("pairs", "embedding_pairs", ("vec_a", "vec_b", Const(0))),
+        Part("gram", "embedding_gram", ("i", "j", "v")),
+        Part("centroid", "label_centroid_sim",
+             ("label_a", "label_b", "cos_micro"))]),
+    "ann_topk": "ann_topk",
+    "ann_approx": Row(pa.schema({"query_id": I64, "rank": I64,
+                                 "vec_id": I64}), [
+        Part("lsh", "ann_lsh"), Part("ivf", "ann_ivf"), Part("pq", "ann_pq"),
+        # one row per vector; the values are pinned vs numpy PCA by pytest
+        Part("pca", "embedding_pca", ("vec_id", Const(2), "vec_id"))]),
+    "ann_pairs_lsh": "ann_pairs_lsh",
+    "dedup_semantic": "dedup_semantic",
+    # multimodal
+    "media_metadata": Row(pa.schema({"url": S, "media_bytes": I64,
+                                     "media_md5": S}), [
+        Part("meta", "media_metadata"),
+        Part("phash", "media_phash", ("url", Const(0), "phash")),
+        Part("pairs", "media_phash_pairs", ("url_a", "hamming", "url_b"))]),
+    "media_pipeline": Row(pa.schema({"url": S, "v1": I64, "v2": I64}), [
+        Part("decode", "media_decode", ("url", "height", "width")),
+        Part("frames", "media_frames", ("url", "frame_idx", Const(0)))]),
+    # sketches
+    "sketch_counts": Row(pa.schema({"key": S, "n1": I64, "n2": I64,
+                                    "est": F64}), [
+        Part("hll", "hll_distinct",
+             ("grp", "n_zero", "inv_sum_num", "estimate")),
+        Part("cms", "cms_counts",
+             ("token", "est_count", Const(0), Const(0.0))),
+        Part("token_hll", "source_token_hll",
+             ("grp", "n_zero", "inv_sum_num", "estimate")),
+        Part("hist", "column_histogram",
+             ("bin", "lo_edge", "count", Const(0.0)))]),
+    # events / windows
+    "windows": Row(pa.schema({"k1": I64, "k2": S, "n": I64, "v": F64}), [
+        Part("tumbling", "tumbling_window",
+             ("window_id", "user_id", "n_events", "sum_value")),
+        Part("hopping", "hopping_window",
+             ("window_start", "event_type", "n_events", "sum_value")),
+        Part("distinct_users", "window_distinct_users",
+             ("window_id", Const(""), "n_users", Const(0.0))),
+        Part("top_types", "window_top_types",
+             ("window_id", "event_type", "n_events", "rank")),
+        Part("anomaly", "window_anomaly",
+             ("window_id", "event_type", "n_events", "z"))]),
+    "sessions": Row(pa.schema({"k1": I64, "k2": I64, "n": I64, "v": F64,
+                               "v2": F64}), [
+        Part("assign", "sessionize",
+             ("event_id", "user_id", "session_seq", Const(0.0), Const(0.0))),
+        Part("stats", "session_stats",
+             ("user_id", "session_seq", "n_events", "sum_value",
+              "duration_us")),
+        Part("funnel", "event_funnel",
+             ("user_id", Const(0), Const(0), "a_ts", "b_ts")),
+        Part("late", "late_events",
+             ("event_id", "user_id", "is_late", "lateness_us", Const(0.0)))]),
+    "temporal_joins": Row(pa.schema({"event_id": I64, "val": I64}), [
+        Part("asof", "asof_join", ("event_id", "last_orderkey")),
+        Part("range", "range_join", ("event_id", "n_parts"))]),
+    # the two per-doc layout passes between a curated corpus and a
+    # training dataloader
+    "sequence_pack": Row(pa.schema({"doc_id": I64, "a": I64, "b": I64,
+                                    "c": I64}), [
+        Part("pack", "sequence_pack", ("doc_id", "n_tokens", "seq_id",
+                                       "offset"),
+             sql=lambda base: _sequence_pack_sql()),
+        Part("shuffle", "shuffle_shards", ("doc_id", "shard", "pos",
+                                           Const(0)),
+             sql=lambda base: _shuffle_shards_sql(n_shards=8))]),
+    # relational
+    "pricing_summary": "pricing_summary",
+    "top_orders": "top_orders",
+    "top_quality_per_source": "top_quality_per_source",
+}
+
+FULL_QUERIES = {name: op.fn for name, op in OPS.items()}
+QUERIES = {name: _row_fn(row) for name, row in ROWS.items()}
+
+
+def full_oracle_queries() -> dict[str, str]:
+    """The per-operator oracle map (every ``OPS`` entry with a builder)."""
+    return {name: op.sql() for name, op in OPS.items() if op.sql}
+
+
+def oracle_queries() -> dict[str, str]:
+    """The driver's oracle map: one SQL per oracle-gated row."""
     base = full_oracle_queries()
-    out["host_filters"] = (
-        out["host_filters"] + "\nUNION ALL\n"
-        "SELECT 'triangles' AS part, CAST(-1 AS BIGINT) AS doc_id, host, "
-        "n_tri * 10000000 + clust_micro AS v FROM ("
-        + base["host_triangles"] + ")")
-    return out
+    out = {name: _row_sql(row, base) for name, row in ROWS.items()}
+    return {name: sql for name, sql in out.items() if sql is not None}

@@ -45,28 +45,35 @@ EXACT_OFFSET = 2_000_000
 BENCH_MOD = 97
 
 
+def curation_fixture_batch(b: pa.Table, text_col: str = "text") -> pa.Table:
+    """One batch of :func:`with_curation_fixture`: the batch's rows, then
+    per doc (in batch order) its near-dup copy before its exact copy."""
+    import pyarrow.compute as pc
+
+    ids = b.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
+    near = np.flatnonzero(ids % NEAR_EVERY == 0)
+    exact = np.flatnonzero(ids % EXACT_EVERY == 0)
+    src = np.concatenate([near, exact])
+    is_near = np.arange(len(src)) < len(near)
+    order = np.lexsort((~is_near, src))
+    src, is_near = src[order], is_near[order]
+    take = np.concatenate([np.arange(len(ids)), src])
+    suffix = np.where(np.concatenate([np.zeros(len(ids), bool), is_near]),
+                      " zz9", "")
+    texts = pc.take(b.column(text_col), pa.array(take)).cast(pa.string())
+    return pa.table({
+        "doc_id": pa.array(np.concatenate([
+            ids, ids[src] + np.where(is_near, NEAR_OFFSET, EXACT_OFFSET)])),
+        text_col: pc.binary_join_element_wise(
+            texts, pa.array(suffix, type=pa.string()), ""),
+    })
+
+
 def with_curation_fixture(ds, text_col: str = "text"):
     """documents ∪ near-dup mutated copies ∪ exact copies."""
-
-    def derive(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy(zero_copy_only=False)
-        texts = b.column(text_col).to_pylist()
-        out_i = list(ids)
-        out_t = list(texts)
-        for d, t in zip(ids, texts):
-            if d % NEAR_EVERY == 0:
-                out_i.append(int(d) + NEAR_OFFSET)
-                out_t.append(t + " zz9")
-            if d % EXACT_EVERY == 0:
-                out_i.append(int(d) + EXACT_OFFSET)
-                out_t.append(t)
-        return pa.table({
-            "doc_id": pa.array(np.asarray(out_i, dtype=np.int64)),
-            text_col: pa.array(out_t, type=pa.string()),
-        })
-
     return ds.select_columns(["doc_id", text_col]).map_batches(
-        derive, batch_format="pyarrow")
+        curation_fixture_batch, fn_kwargs={"text_col": text_col},
+        batch_format="pyarrow")
 
 
 def _status_table(ids: np.ndarray, status) -> pa.Table:

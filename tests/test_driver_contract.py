@@ -40,6 +40,13 @@ def oracle_con(sf_dir):
     con.close()
 
 
+@pytest.fixture(scope="module")
+def oracle_sqls():
+    import __ray_entry__ as e
+
+    return e.oracle_sql()
+
+
 def _query_names():
     import __ray_entry__ as e
 
@@ -47,12 +54,13 @@ def _query_names():
 
 
 @pytest.mark.parametrize("name", _query_names())
-def test_query_matches_oracle(name, ray_session, sf_dir, oracle_con):
+def test_query_matches_oracle(name, ray_session, sf_dir, oracle_con,
+                             oracle_sqls):
     import __ray_entry__ as e
 
     res = _to_pandas(e.queries()[name](sf_dir))
     assert len(res) >= 0
-    sqls = e.oracle_sql()
+    sqls = oracle_sqls
     if name not in sqls:
         pytest.skip("rows-only query (no SQL oracle)")
     exp = oracle_con.execute(sqls[name]).df()

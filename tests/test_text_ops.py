@@ -978,6 +978,44 @@ def test_curate_corpus_oracle_parity(ray_session, sf_dir):
     assert counts.get("kept", 0) > 0
 
 
+def _curation_fixture_loop(b, text_col="text"):
+    """Reference per-row loop for curation_fixture_batch."""
+    from maskmypy_ray.text.curate import (EXACT_EVERY, EXACT_OFFSET,
+                                          NEAR_EVERY, NEAR_OFFSET)
+
+    ids = b.column("doc_id").to_numpy(zero_copy_only=False)
+    texts = b.column(text_col).to_pylist()
+    out_i, out_t = list(ids), list(texts)
+    for d, t in zip(ids, texts):
+        if d % NEAR_EVERY == 0:
+            out_i.append(int(d) + NEAR_OFFSET)
+            out_t.append(t + " zz9")
+        if d % EXACT_EVERY == 0:
+            out_i.append(int(d) + EXACT_OFFSET)
+            out_t.append(t)
+    return pa.table({
+        "doc_id": pa.array(np.asarray(out_i, dtype=np.int64)),
+        text_col: pa.array(out_t, type=pa.string()),
+    })
+
+
+@pytest.mark.parametrize("ids", [
+    [170, 3, 10, 17, 340, 20, 34, 1, 0, 171],   # %170, %10, %17, neither
+    [1, 2, 3],                                  # no copies at all
+    [],                                         # empty batch
+])
+def test_curation_fixture_batch_matches_loop(ids):
+    """The vectorized fixture batch keeps the loop's rows and order:
+    originals first, then per doc its near copy before its exact copy."""
+    from maskmypy_ray.text.curate import curation_fixture_batch
+
+    b = pa.table({"doc_id": pa.array(ids, type=pa.int64()),
+                  "body": pa.array([f"doc {d}" for d in ids],
+                                   type=pa.string())})
+    got = curation_fixture_batch(b, text_col="body")
+    assert got.equals(_curation_fixture_loop(b, text_col="body"))
+
+
 def test_novel_gram_fraction_vs_brute(ray_session, sf_dir):
     import numpy as np
     import pandas as pd
