@@ -16,18 +16,16 @@ density-clustering sibling of the near-dup cluster family
   mirrored exactly by the SQL oracle);
 * everything else is NOISE (``cluster = -1``).
 
-Scale shape (north_rule tiling engine — same cell+halo pattern as
-`analysis/nnd.py` / `analysis/knn.py`, same components kernel as
-`text/clusters.py`):
+Scale shape (north_rule tiling engine — the cell-halo self-join of
+`analysis/nnd.py`, the components kernel of `text/clusters.py`):
 
 1. degree pass: each point replicates into its 3x3 ``eps``-cell ring
-   (halo rows); ONE ``groupby(cell % P)`` coarse shuffle co-locates a
-   cell's residents with every possible eps-neighbor; the per-partition
-   kernel walks cell SEGMENTS of the sorted partition (a numpy slice
-   loop, not per-cell Ray groups — fine-key map_groups costs ~0.4 ms
-   per group) and counts chunked pairwise distances, emitting one
+   (``halo_rows``), and one
+   ``segment_map`` over ``cell`` co-locates a cell's home points with
+   every possible eps-neighbor; one pyarrow kernel per sorted block
+   runs the shared pair loop (``halo_pair_d2``) and emits one
    ``(key, x, y, is_core)`` row per point;
-2. edge pass: a second halo shuffle over the flagged points emits
+2. edge pass: a second self-join over the flagged points emits
    core-core edges and border->core adjacency (each from the home
    cell, so every ordered pair is emitted exactly once);
 3. components: `text.clusters.connected_components` — alternating
@@ -50,141 +48,69 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..geokernels.cells import cell_of_xy, neighbors_xy
+from ..geokernels.cells import halo_pair_d2, halo_rows
+from ..util import segment_map
 
 DEFAULT_PARTITIONS = 64
 DEFAULT_EPS_M = 300.0
 DEFAULT_MIN_PTS = 4
-# Chunk pairwise-distance slabs so no temporary exceeds ~4M float64s
-# (same bound as the nnd kernel).
-_CHUNK_ELEMS = 4_000_000
+FLAG_SCHEMA = pa.schema([("key", pa.int64()), ("px", pa.float64()),
+                         ("py", pa.float64()), ("is_core", pa.int64())])
+ADJ_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                        ("kind", pa.int64())])
 
 
-def _halo_rows(batch: pa.Table, eps: float, x_col: str, y_col: str,
-               key_col: str, partitions: int,
-               core_col: str | None = None) -> pa.Table:
-    """Replicate each point into its 3x3 eps-cell ring; ``home`` marks
-    the copy living in the point's own cell; ``p`` is the coarse
-    shuffle key."""
-    x = batch.column(x_col).to_numpy(zero_copy_only=False)
-    y = batch.column(y_col).to_numpy(zero_copy_only=False)
-    keys = batch.column(key_col).to_numpy(zero_copy_only=False) \
-        .astype(np.int64)
-    own = cell_of_xy(x, y, eps)
-    nb = neighbors_xy(own, ring=1)  # (n, 9) incl. self
-    n, k = nb.shape
-    rep = np.repeat(np.arange(n), k)
-    cells = nb.ravel()
-    cols = {
-        "cell": pa.array(cells, type=pa.int64()),
-        "p": pa.array(cells % partitions, type=pa.int64()),
-        "key": pa.array(keys[rep], type=pa.int64()),
-        "px": pa.array(x[rep], type=pa.float64()),
-        "py": pa.array(y[rep], type=pa.float64()),
-        "home": pa.array((nb == own[:, None]).ravel()),
-    }
-    if core_col is not None:
-        c = batch.column(core_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        cols["is_core"] = pa.array(c[rep], type=pa.int64())
-    return pa.table(cols)
+def _self_join(ds, eps: float, x_col: str, y_col: str, key_col: str,
+               kernel, schema, core_col: str | None = None):
+    """``kernel`` over the :func:`halo_rows` of ``ds`` (eps cells, plus
+    ``is_core`` when given), sorted by cell."""
+    def halo(b: pa.Table) -> pa.Table:
+        rep, t = halo_rows(b, eps, x_col, y_col, key_col)
+        if core_col is None:
+            return t
+        c = b.column(core_col).to_numpy(zero_copy_only=False)
+        return t.append_column("is_core", pa.array(c[rep].astype(np.int64)))
+
+    return segment_map(ds.map_batches(halo, batch_format="pyarrow"), "cell",
+                       kernel, schema)
 
 
-def _cell_segments(g: pd.DataFrame):
-    """Sort one coarse partition by cell and yield per-cell slices."""
-    g = g.sort_values("cell", kind="mergesort")
-    cells = g["cell"].to_numpy()
-    starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
-    ends = np.r_[starts[1:], len(cells)]
-    return g, starts, ends
+def _cols(block: pa.Table, *names):
+    return [block.column(n).to_numpy(zero_copy_only=False) for n in names]
 
 
-def _pair_mask(hx, hy, px, py, eps2):
-    """Boolean (home x all) adjacency for one cell segment, chunked."""
-    out = np.empty((len(hx), len(px)), dtype=bool)
-    chunk = max(1, _CHUNK_ELEMS // max(1, len(px)))
-    for i in range(0, len(hx), chunk):
-        sl = slice(i, min(i + chunk, len(hx)))
-        d2 = (hx[sl, None] - px[None, :]) ** 2 \
-            + (hy[sl, None] - py[None, :]) ** 2
-        out[sl] = d2 <= eps2
-    return out
+def _deg_block(block: pa.Table, eps2: float, min_pts: int) -> pa.Table:
+    """(key, px, py, is_core) for every HOME row of one sorted block —
+    degree counts all residents+halo within eps, self included."""
+    cell, px, py, key, home = _cols(block, "cell", "px", "py", "key", "home")
+    deg = np.zeros(block.num_rows, dtype=np.int64)
+    for ci, _, d2 in halo_pair_d2(cell, home, px, py):
+        deg[ci] = (d2 <= eps2).sum(axis=1)
+    return pa.table({"key": key[home], "px": px[home], "py": py[home],
+                     "is_core": (deg[home] >= min_pts).astype(np.int64)})
 
 
-def _deg_part(g: pd.DataFrame, eps2: float, min_pts: int) -> pd.DataFrame:
-    """(key, px, py, is_core) for every HOME point of this partition's
-    cells — degree counts all residents+halo within eps, self
-    included."""
-    g, starts, ends = _cell_segments(g)
-    px = g["px"].to_numpy()
-    py = g["py"].to_numpy()
-    keys = g["key"].to_numpy()
-    home = g["home"].to_numpy()
-    out_k, out_x, out_y, out_c = [], [], [], []
-    for s, e in zip(starts, ends):
-        h = home[s:e]
-        if not h.any():
-            continue
-        ax, ay = px[s:e], py[s:e]
-        adj = _pair_mask(ax[h], ay[h], ax, ay, eps2)
-        deg = adj.sum(axis=1)
-        out_k.append(keys[s:e][h])
-        out_x.append(ax[h])
-        out_y.append(ay[h])
-        out_c.append((deg >= min_pts).astype(np.int64))
-    if not out_k:
-        return pd.DataFrame({"key": pd.array([], dtype="int64"),
-                             "px": pd.array([], dtype="float64"),
-                             "py": pd.array([], dtype="float64"),
-                             "is_core": pd.array([], dtype="int64")})
-    return pd.DataFrame({"key": np.concatenate(out_k),
-                         "px": np.concatenate(out_x),
-                         "py": np.concatenate(out_y),
-                         "is_core": np.concatenate(out_c)})
-
-
-def _edge_part(g: pd.DataFrame, eps2: float) -> pd.DataFrame:
+def _edge_block(block: pa.Table, eps2: float) -> pa.Table:
     """(a, b, kind) rows emitted by each point's HOME cell: kind 0 =
     core-core edge (a core, b core, a != b), kind 1 = border adjacency
     (a non-core, b core)."""
-    g, starts, ends = _cell_segments(g)
-    px = g["px"].to_numpy()
-    py = g["py"].to_numpy()
-    keys = g["key"].to_numpy()
-    home = g["home"].to_numpy()
-    core = g["is_core"].to_numpy().astype(bool)
-    out_a, out_b, out_kind = [], [], []
-    for s, e in zip(starts, ends):
-        h = home[s:e]
-        ccol = core[s:e]
-        if not h.any() or not ccol.any():
-            continue
-        ax, ay, ak = px[s:e], py[s:e], keys[s:e]
-        adj = _pair_mask(ax[h], ay[h], ax[ccol], ay[ccol], eps2)
-        hk = ak[h]
-        bk = ak[ccol]
-        adj &= hk[:, None] != bk[None, :]  # never self (by key)
-        ai, bi = np.nonzero(adj)
-        if not len(ai):
-            continue
-        out_a.append(hk[ai])
-        out_b.append(bk[bi])
-        out_kind.append(np.where(ccol[h][ai], 0, 1).astype(np.int64))
-    if not out_a:
-        return pd.DataFrame({"a": pd.array([], dtype="int64"),
-                             "b": pd.array([], dtype="int64"),
-                             "kind": pd.array([], dtype="int64")})
-    return pd.DataFrame({"a": np.concatenate(out_a),
-                         "b": np.concatenate(out_b),
-                         "kind": np.concatenate(out_kind)})
+    cell, px, py, key, home, core = _cols(
+        block, "cell", "px", "py", "key", "home", "is_core")
+    core = core.astype(bool)
+    out_a, out_b = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for ci, gi, d2 in halo_pair_d2(cell, home, px, py, key, cand=core):
+        ai, bi = np.nonzero(d2 <= eps2)  # never self: equal keys are inf
+        out_a.append(ci[ai])
+        out_b.append(gi[bi])
+    a, b = np.concatenate(out_a), np.concatenate(out_b)
+    return pa.table({"a": key[a], "b": key[b],
+                     "kind": np.where(core[a], 0, 1).astype(np.int64)})
 
 
 def _to_arrow_i64(cols: tuple[str, ...]):
     def fn(d: pd.DataFrame) -> pa.Table:
-        return pa.table({c: pa.array(
-            d[c].to_numpy(dtype="float64" if c in ("px", "py") else "int64"),
-            type=pa.float64() if c in ("px", "py") else pa.int64())
-            for c in cols})
+        return pa.table({c: pa.array(d[c].to_numpy(dtype="int64"),
+                                     type=pa.int64()) for c in cols})
     return fn
 
 
@@ -199,36 +125,25 @@ def dbscan(points_ds, eps: float = DEFAULT_EPS_M,
 
     SQL twin: `pipelines._dbscan_sql` (grid-bucketed neighbor join +
     recursive-CTE min-label closure over core-core edges)."""
-    from ray.data.aggregate import Sum  # noqa: F401  (parity with peers)
-
     from ..text.clusters import connected_components
 
     eps2 = eps * eps
     pts = points_ds.select_columns(
         list(dict.fromkeys([key_col, x_col, y_col, *carry])))
 
-    # -- pass 1: degree/core flags (one coarse halo shuffle) ---------------
-    halo1 = pts.map_batches(
-        lambda b: _halo_rows(b, eps, x_col, y_col, key_col, partitions),
-        batch_format="pyarrow")
+    # -- pass 1: degree/core flags -------------------------------------------
     # bounded checkpoint: one row per point; feeds the edge pass, the
     # CC node list and the final merge (dual-consumer rule)
-    flags = halo1.groupby("p").map_groups(
-        lambda g: _deg_part(g, eps2, min_pts), batch_format="pandas") \
-        .map_batches(_to_arrow_i64(("key", "px", "py", "is_core")),
-                     batch_format="pandas").materialize()
+    flags = _self_join(pts, eps, x_col, y_col, key_col,
+                       lambda b: _deg_block(b, eps2, min_pts),
+                       FLAG_SCHEMA).materialize()
 
     # -- pass 2: core-core edges + border adjacency ------------------------
-    halo2 = flags.map_batches(
-        lambda b: _halo_rows(b, eps, "px", "py", "key", partitions,
-                             core_col="is_core"),
-        batch_format="pyarrow")
     # bounded checkpoint: O(eps-neighbor pairs) — the same order the
     # components round shuffle moves; feeds CC and the border attach
-    adj = halo2.groupby("p").map_groups(
-        lambda g: _edge_part(g, eps2), batch_format="pandas") \
-        .map_batches(_to_arrow_i64(("a", "b", "kind")),
-                     batch_format="pandas").materialize()
+    adj = _self_join(flags, eps, "px", "py", "key",
+                     lambda b: _edge_block(b, eps2), ADJ_SCHEMA,
+                     core_col="is_core").materialize()
 
     # -- components over core points ---------------------------------------
     nodes = flags.filter(expr="is_core == 1").map_batches(

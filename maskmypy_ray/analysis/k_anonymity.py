@@ -32,12 +32,12 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..geokernels.cells import cell_of_xy, cover_circle_xy, neighbors_xy
+from ..geokernels.cells import (MAX_PAIRS, cell_of_xy, cover_circle_xy,
+                               halo_of_xy)
 from ..geokernels.pip import PolygonSet
+from ..util import segment_map
 
 DEFAULT_CELL_M = 500.0
-# Cap on one count step's point x address block (~32 MB per float64 temp)
-MAX_PAIRS = 4_000_000
 
 
 def _point_cell_batch(batch: pa.Table, cell_m: float, salt: int,
@@ -70,11 +70,7 @@ def _addr_halo_batch(batch: pa.Table, cell_m: float, salt: int) -> pa.Table:
 
         ax, ay = latlon_to_xy(batch.column("lat").to_numpy(zero_copy_only=False),
                               batch.column("lon").to_numpy(zero_copy_only=False))
-    own = cell_of_xy(ax, ay, cell_m)
-    halo = neighbors_xy(own, ring=1)  # (n, 9)
-    n, kk = halo.shape
-    rep = np.repeat(np.arange(n), kk)
-    cells = halo.ravel()
+    rep, cells, _ = halo_of_xy(ax, ay, cell_m)
     tables = []
     for s in range(salt):
         tables.append(pa.table({
@@ -321,12 +317,10 @@ def calculate_k(masked_ds, addresses_ds, cell_m: float | None = None,
         lambda b: _point_cell_batch(b, cell_m, salt, key_col), batch_format="pyarrow")
     adr = addresses_ds.map_batches(
         lambda b: _addr_halo_batch(b, cell_m, salt), batch_format="pyarrow")
-    # batch_size=None: each batch is one whole sorted block, so no cell
-    # is split. The sort is an all-to-all barrier, so this map never
-    # fuses with a row-expanding upstream stage.
-    return pts.union(adr).sort("cell").map_batches(
-        lambda b: _count_cell_block(b, key_col), batch_format="pyarrow",
-        batch_size=None)
+    return segment_map(pts.union(adr), "cell",
+                       lambda b: _count_cell_block(b, key_col),
+                       pa.schema([(key_col, pa.int64()),
+                                  ("k_anonymity", pa.int64())]))
 
 
 # ---------------------------------------------------------------------------

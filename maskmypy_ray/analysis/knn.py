@@ -17,13 +17,17 @@ covers every address. Unresolved points re-run with the ring doubled,
 gathering only the annulus the doubling adds and re-ranking it with
 their carried top-k; every step is vectorized across the batch
 (range-expansion via repeat/cumsum, per-point top-k via one lexsort +
-segment rank — the ``_head_k_per_host`` idiom).
+segment rank — the ``_head_k_per_host`` idiom). A point still
+unresolved once its next ring block would hold at least as many cells
+as there are addresses (a point far outside the address cloud) is
+ranked against every address at once instead, so no point walks the
+empty cells between it and the cloud.
 
 Scale note: this is the small-context-side plan (guarded by the same
 BROADCAST_ADDR_LIMIT as calculate_k). For address sides too large to
-broadcast, the shape is the nnd halo-shuffle plan (replicate addresses
-into 3x3 halos sized by an upper-bound k-th distance, doubling for
-unresolved points) — the count-based variant of which ships in
+broadcast, the shape is a cell-halo join over ``segment_map`` (replicate
+addresses into 3x3 halos sized by an upper-bound k-th distance, doubling
+for unresolved points) — the count-based variant of which ships in
 calculate_k(mode="shuffle").
 
 dist2 is a single fused ``dx*dx + dy*dy`` in float64 on both the
@@ -36,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..geokernels.cells import cell_of_xy, neighbors_xy
+from ..geokernels.cells import MAX_PAIRS, cell_of_xy, neighbors_xy
 from .k_anonymity import BROADCAST_ADDR_LIMIT, _TableDS
 
 DEFAULT_KNN_CELL_M = 500.0
@@ -91,6 +95,9 @@ def _knn_batch(idx, mx, my, keys, k: int):
     seen = np.zeros(n, dtype=np.int64)
     ring, inner = 1, -1
     while len(unres):
+        if (2 * ring + 1) ** 2 >= n_addr:
+            return _knn_all(idx, mx, my, keys, k, unres,
+                            (out_key, out_rank, out_aid, out_d2), filled)
         px, py = mx[unres], my[unres]
         nb = neighbors_xy(own[unres], ring=ring, inner=inner)
         lo = np.searchsorted(cells, nb.ravel(), side="left")
@@ -145,6 +152,28 @@ def _knn_batch(idx, mx, my, keys, k: int):
         ring, inner = 2 * ring, ring
     return (out_key[:filled], out_rank[:filled], out_aid[:filled],
             out_d2[:filled])
+
+
+def _knn_all(idx, mx, my, keys, k: int, unres, out, filled: int):
+    """Finish ``_knn_batch``: rank the ``unres`` points against every
+    address by the same (dist2, addr_id) order, chunked so no step
+    exceeds MAX_PAIRS pairs, and return the filled output arrays."""
+    _, ax, ay, aid, _ = idx
+    kk = min(k, len(ax))
+    step = max(1, MAX_PAIRS // max(1, len(ax)))
+    for i in range(0, len(unres) if kk else 0, step):
+        u = unres[i:i + step]
+        dx = mx[u][:, None] - ax[None, :]
+        dy = my[u][:, None] - ay[None, :]
+        d2 = dx * dx + dy * dy
+        top = np.lexsort((np.broadcast_to(aid, d2.shape), d2))[:, :kk]
+        sl = slice(filled, filled + len(u) * kk)
+        out[0][sl] = np.repeat(keys[u], kk)
+        out[1][sl] = np.tile(np.arange(1, kk + 1), len(u))
+        out[2][sl] = aid[top].ravel()
+        out[3][sl] = np.take_along_axis(d2, top, axis=1).ravel()
+        filled = sl.stop
+    return tuple(o[:filled] for o in out)
 
 
 def knn_join(points_ds, addresses_ds, k: int = 3,

@@ -2,13 +2,15 @@
 
 Reference (`/root/reference/maskmypy/analysis.py:222-263`) uses pointpats'
 PointPattern min/max/mean nearest-neighbor distance. Distributed shape
-(SURVEY.md §2.2 A8): points are bucketed into planar cells; each point is
-replicated into its 3x3 neighborhood as "halo" rows; a ``groupby(cell)``
-co-locates core+halo; a vectorized per-group kernel finds each core
-point's nearest neighbor. A neighbor within ``cell_m`` of the point is
-guaranteed to be inside the halo, so any result <= cell_m is exact; the
-(rare) unresolved points are finished exactly in a second broadcast
-brute-force pass over the full dataset.
+(SURVEY.md §2.2 A8): a cell-halo self-join. Points are bucketed into
+planar cells and replicated into their 3x3 ring (``halo_of_xy``); one
+``segment_map`` over ``cell`` co-locates each cell's home points with
+every halo copy, and one pyarrow kernel per sorted block runs the shared
+pair loop (``halo_pair_d2``) for each home point's nearest neighbor. A
+neighbor within ``cell_m`` of the point is guaranteed to be inside the
+halo, so any result <= cell_m is exact; the (rare) unresolved points are
+finished exactly in a second broadcast brute-force pass over the full
+dataset.
 """
 
 from __future__ import annotations
@@ -17,71 +19,46 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..geokernels.cells import cell_of_xy, neighbors_xy
+from ..geokernels.cells import halo_pair_d2, halo_rows
+from ..util import segment_map, sorted_member_mask
 
 DEFAULT_NND_CELL_M = 1000.0
+NND_SCHEMA = pa.schema([("key", pa.int64()), ("nnd", pa.float64())])
 
 
-def _halo_batch(batch: pa.Table, cell_m: float, x_col: str, y_col: str,
-                key_col: str) -> pa.Table:
-    x = batch.column(x_col).to_numpy(zero_copy_only=False)
-    y = batch.column(y_col).to_numpy(zero_copy_only=False)
-    keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-    own = cell_of_xy(x, y, cell_m)
-    nb = neighbors_xy(own, ring=1)  # (n, 9) incl. self
-    n, k = nb.shape
-    rep = np.repeat(np.arange(n), k)
-    is_core = (nb == own[:, None]).ravel()
-    return pa.table({
-        "cell": pa.array(nb.ravel(), type=pa.int64()),
-        "key": pa.array(keys[rep], type=pa.int64()),
-        "px": pa.array(x[rep], type=pa.float64()),
-        "py": pa.array(y[rep], type=pa.float64()),
-        "core": pa.array(is_core),
-    })
+def _nn_block(block: pa.Table) -> pa.Table:
+    """(key, nnd) of every home row of one ``sort("cell")`` block."""
+    def col(name):
+        return block.column(name).to_numpy(zero_copy_only=False)
 
-
-def _nn_group(g: pd.DataFrame) -> pd.DataFrame:
-    core = g[g["core"]]
-    if not len(core):
-        return pd.DataFrame({"key": pd.array([], dtype="int64"),
-                             "nnd": pd.array([], dtype="float64")})
-    px = g["px"].to_numpy()
-    py = g["py"].to_numpy()
-    cx = core["px"].to_numpy()
-    cy = core["py"].to_numpy()
-    ckey = core["key"].to_numpy()
-    gkey = g["key"].to_numpy()
-    out = np.empty(len(cx))
-    chunk = max(1, int(4_000_000 / max(1, len(px))))
-    for i in range(0, len(cx), chunk):
-        sl = slice(i, min(i + chunk, len(cx)))
-        d2 = (cx[sl, None] - px[None, :]) ** 2 + (cy[sl, None] - py[None, :]) ** 2
-        d2[gkey[None, :] == ckey[sl, None]] = np.inf  # exclude self (by key)
-        out[sl] = np.sqrt(d2.min(axis=1))
-    return pd.DataFrame({"key": ckey, "nnd": out})
+    key, home = col("key"), col("home")
+    nnd = np.empty(block.num_rows)
+    for ci, _, d2 in halo_pair_d2(col("cell"), home, col("px"), col("py"),
+                                  key):
+        nnd[ci] = np.sqrt(d2.min(axis=1))
+    return pa.table({"key": key[home], "nnd": nnd[home]})
 
 
 def nnd_per_point(ds, cell_m: float = DEFAULT_NND_CELL_M, x_col: str = "x",
                   y_col: str = "y", key_col: str = "doc_id"):
     """Dataset[(key, nnd)] of exact nearest-neighbor distances."""
-    halo = ds.map_batches(
-        lambda b: _halo_batch(b, cell_m, x_col, y_col, key_col),
-        batch_format="pyarrow")
-    nn = halo.groupby("cell").map_groups(_nn_group, batch_format="pandas")
-    nn = nn.materialize()
+    def halo(b: pa.Table) -> pa.Table:
+        return halo_rows(b, cell_m, x_col, y_col, key_col)[1]
+
+    nn = segment_map(ds.map_batches(halo, batch_format="pyarrow"), "cell",
+                     _nn_block, NND_SCHEMA).materialize()
     # Exactness check: results > cell_m may have a true NN outside the halo.
     unresolved = nn.filter(expr=f"nnd > {cell_m!r}").to_pandas()
     if len(unresolved):
         resolved = _brute_force_nn(ds, unresolved, x_col, y_col, key_col)
-        fix = dict(zip(resolved["key"], resolved["nnd"]))
+        fix_key = resolved["key"].to_numpy()  # sorted by the groupby
+        fix_nnd = resolved["nnd"].to_numpy()
 
         def patch(b: pa.Table) -> pa.Table:
             keys = b.column("key").to_numpy(zero_copy_only=False)
             vals = b.column("nnd").to_numpy(zero_copy_only=False).copy()
-            for i, kk in enumerate(keys):
-                if kk in fix:
-                    vals[i] = fix[kk]
+            hit = sorted_member_mask(fix_key, keys)
+            vals[hit] = fix_nnd[np.searchsorted(fix_key, keys[hit])]
             return pa.table({"key": b.column("key"),
                              "nnd": pa.array(vals, type=pa.float64())})
 
@@ -93,13 +70,11 @@ def _brute_force_nn(ds, unresolved: pd.DataFrame, x_col: str, y_col: str,
                     key_col: str) -> pd.DataFrame:
     """Exact fallback: broadcast the (small) unresolved point set and scan
     the full dataset once, reducing per-unresolved minima on the driver."""
-    ux = unresolved["px"].to_numpy() if "px" in unresolved else None
     # unresolved came from the nn result (key, nnd) — need coordinates:
-    keys = set(unresolved["key"].tolist())
+    keys = np.unique(unresolved["key"].to_numpy())
     coords = ds.map_batches(
-        lambda b: b.filter(
-            pa.array(np.isin(b.column(key_col).to_numpy(zero_copy_only=False),
-                             list(keys)))),
+        lambda b: b.filter(pa.array(sorted_member_mask(
+            keys, b.column(key_col).to_numpy(zero_copy_only=False)))),
         batch_format="pyarrow").select_columns([key_col, x_col, y_col]).to_pandas()
     ukeys = coords[key_col].to_numpy()
     ux = coords[x_col].to_numpy()

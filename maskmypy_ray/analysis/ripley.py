@@ -13,11 +13,13 @@ default k(...) used by k_test. CSR simulations draw from the engine's
 counter RNG (streams 300+2s/301+2s keyed on point index), so results are
 deterministic.
 
-Distributed shape: pairwise band counts are a cell+halo self-join (halo =
-max_dist) with a per-cell vectorized histogram; at fixture scales the
-kernel below runs the chunked numpy histogram directly over collected
-coordinates (n <= ~10^5 pairs fit easily); the cell-join path reuses the
-nnd halo machinery when n grows (SURVEY.md §2.2 A11).
+Distributed shape (Dataset input, SURVEY.md §2.2 A11): pairwise band
+counts are the cell-halo self-join nnd runs (halo = max_dist), over the
+observed points and every CSR simulation at once under the segment key
+``cell * (S+1) + sim``: one ``segment_map`` and one pyarrow kernel per
+sorted block that runs the shared pair loop and counts pairs per band.
+Array input runs the same chunked pair distances over the collected
+coordinates, for unit tests and tiny patterns.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import numpy as np
 import pyarrow as pa
 
 from .. import rng
+from ..geokernels.cells import halo_of_xy, halo_pair_d2
+from ..util import segment_map
 
 KtestResult = namedtuple("KtestResult", ("support", "statistic", "pvalue", "simulations"))
 
@@ -40,10 +44,10 @@ def _k_stat(x: np.ndarray, y: np.ndarray, support: np.ndarray,
     if area is None:
         area = (x.max() - x.min()) * (y.max() - y.min())
     counts = np.zeros(len(support))
-    chunk = max(1, int(4_000_000 / n))
-    for i in range(0, n, chunk):
-        sl = slice(i, min(i + chunk, n))
-        d = np.sqrt((x[sl, None] - x[None, :]) ** 2 + (y[sl, None] - y[None, :]) ** 2)
+    # one segment holding every point: each point against all, self included
+    for _, _, d2 in halo_pair_d2(np.zeros(n, dtype=np.int64),
+                                 np.ones(n, dtype=bool), x, y):
+        d = np.sqrt(d2)
         for k, r in enumerate(support):
             counts[k] += ((d <= r).sum(axis=1) - 1).sum()  # exclude self
     return area * counts / (n * (n - 1))
@@ -107,68 +111,6 @@ def ripley_rmse(sensitive_result: KtestResult, candidate_result: KtestResult) ->
     return round(float(np.sqrt(np.square(res).mean())), 3)
 
 
-def k_stat_distributed(ds, support: np.ndarray, cell_m: float | None = None,
-                       x_col: str = "x", y_col: str = "y",
-                       key_col: str = "doc_id") -> np.ndarray:
-    """Distributed K̂ band counts: cell+halo self-join (halo = max band
-    radius), per-group vectorized pair histograms, then one tiny Sum
-    aggregate — the 10^12-row path (pairwise distances never leave their
-    cell neighborhood; no O(n^2) collection).
-
-    Exact: every ordered pair within max(support) lies in the core
-    point's 3x3 halo when cell_m >= max(support); each pair is counted
-    once, at the core point's own cell.
-    """
-    import pandas as pd
-    from ray.data.aggregate import Count, Max, Min, Sum
-
-    from ..analysis.nnd import _halo_batch
-
-    support = np.asarray(support, dtype=np.float64)
-    if cell_m is None:
-        cell_m = float(support.max())
-    agg = ds.aggregate(Min(x_col), Max(x_col), Min(y_col), Max(y_col), Count(x_col))
-    n = int(agg[f"count({x_col})"])
-    area = (agg[f"max({x_col})"] - agg[f"min({x_col})"]) * \
-           (agg[f"max({y_col})"] - agg[f"min({y_col})"])
-    if n < 2:
-        return np.zeros(len(support))
-
-    halo = ds.map_batches(
-        lambda b: _halo_batch(b, cell_m, x_col, y_col, key_col),
-        batch_format="pyarrow")
-
-    sup2 = support * support
-
-    def band_counts(g: pd.DataFrame) -> pd.DataFrame:
-        core = g[g["core"]]
-        if not len(core):
-            return pd.DataFrame({"band": pd.array([], dtype="int64"),
-                                 "cnt": pd.array([], dtype="int64")})
-        px = g["px"].to_numpy()
-        py = g["py"].to_numpy()
-        gkey = g["key"].to_numpy()
-        cx = core["px"].to_numpy()
-        cy = core["py"].to_numpy()
-        ckey = core["key"].to_numpy()
-        out = np.zeros(len(support), dtype=np.int64)
-        chunk = max(1, int(4_000_000 / max(1, len(px))))
-        for i in range(0, len(cx), chunk):
-            sl = slice(i, min(i + chunk, len(cx)))
-            d2 = (cx[sl, None] - px[None, :]) ** 2 + (cy[sl, None] - py[None, :]) ** 2
-            d2[gkey[None, :] == ckey[sl, None]] = np.inf  # exclude self
-            for b, r2 in enumerate(sup2):
-                out[b] += int((d2 <= r2).sum())
-        return pd.DataFrame({"band": np.arange(len(support), dtype=np.int64),
-                             "cnt": out})
-
-    parts = halo.groupby("cell").map_groups(band_counts, batch_format="pandas")
-    totals = parts.groupby("band").aggregate(Sum("cnt", alias_name="total")) \
-        .to_pandas().set_index("band")["total"]
-    counts = np.array([totals.get(b, 0) for b in range(len(support))], dtype=np.float64)
-    return area * counts / (n * (n - 1))
-
-
 def ripleys_k_distributed(ds, max_dist: float | None = None,
                           min_dist: float | None = None, steps: int = 10,
                           simulations: int = 99, seed: int = 42,
@@ -181,20 +123,19 @@ def ripleys_k_distributed(ds, max_dist: float | None = None,
     Per input batch, each point emits its observed coordinates plus
     ``simulations`` CSR draws (streams 300+2s / 301+2s keyed on the row
     key — partition/order independent), each halo-replicated into its
-    3x3 cell ring under a composite ``cell * (S+1) + sim`` group key.
-    One ``groupby`` computes per-(sim, cell) band pair-counts; a tiny
-    second aggregate sums per (sim, band). The driver sees only
-    (S+1) x steps counters.
+    3x3 cell ring under a composite ``cell * (S+1) + sim`` segment key.
+    One ``segment_map`` counts band pairs per sorted block into an
+    (S+1) x steps grid; the driver sums the blocks' grids.
+
+    Exact: every ordered pair within max(support) lies in the core
+    point's 3x3 halo when cell_m >= max(support); each pair is counted
+    once, at the core point's own cell.
 
     Cost note: the shuffle carries 9 x (S+1) halo rows per point — the
     price of exact simulation envelopes; cut ``simulations`` (the
     reference marks this operator slow and skips it by default,
     `analysis.py:40-43`)."""
-    import pandas as pd
-    from ray.data.aggregate import Count, Max, Min, Sum
-
-    from .. import rng as _rng
-    from ..geokernels.cells import cell_of_xy, neighbors_xy
+    from ray.data.aggregate import Count, Max, Min
 
     agg = ds.aggregate(Min(x_col), Max(x_col), Min(y_col), Max(y_col), Count(x_col))
     n = int(agg[f"count({x_col})"])
@@ -229,64 +170,49 @@ def ripleys_k_distributed(ds, max_dist: float | None = None,
             all_x = [x]
             all_y = [y]
             for s in range(S):
-                u1 = _rng.uniform01(keys & 0xFFFFFFFF, seed, 300 + 2 * s)
-                u2 = _rng.uniform01((keys + 131071 * (s + 1)) & 0xFFFFFFFF,
-                                    seed, 301 + 2 * s)
+                u1 = rng.uniform01(keys & 0xFFFFFFFF, seed, 300 + 2 * s)
+                u2 = rng.uniform01((keys + 131071 * (s + 1)) & 0xFFFFFFFF,
+                                   seed, 301 + 2 * s)
                 all_x.append(x0 + (x1 - x0) * u1)
                 all_y.append(y0 + (y1 - y0) * u2)
             ax = np.concatenate(all_x)
             ay = np.concatenate(all_y)
             sim = np.repeat(np.arange(S + 1, dtype=np.int64), m)
             akey = np.tile(keys, S + 1)
-            own = cell_of_xy(ax, ay, cm)
-            nb = neighbors_xy(own, ring=1)  # (rows, 9)
-            rows, kk = nb.shape
-            rep = np.repeat(np.arange(rows), kk)
-            is_core = (nb == own[:, None]).ravel()
+            rep, cell, home = halo_of_xy(ax, ay, cm)
             yield pa.table({
-                "gcell": pa.array(nb.ravel() * (S + 1) + sim[rep], type=pa.int64()),
-                "sim": pa.array(sim[rep], type=pa.int64()),
+                "gcell": pa.array(cell * (S + 1) + sim[rep], type=pa.int64()),
                 "key": pa.array(akey[rep], type=pa.int64()),
                 "px": pa.array(ax[rep], type=pa.float64()),
                 "py": pa.array(ay[rep], type=pa.float64()),
-                "core": pa.array(is_core),
+                "home": pa.array(home),
             })
+
+    sup2 = support * support
+    bands = np.tile(np.arange(len(support), dtype=np.int64), S + 1)
+    sims = np.repeat(np.arange(S + 1, dtype=np.int64), len(support))
+
+    def band_counts(block: pa.Table) -> pa.Table:
+        def col(name):
+            return block.column(name).to_numpy(zero_copy_only=False)
+
+        gcell = col("gcell")
+        grid = np.zeros((S + 1, len(support)), dtype=np.int64)
+        for ci, _, d2 in halo_pair_d2(gcell, col("home"), col("px"),
+                                      col("py"), col("key")):
+            sim_id = gcell[ci[0]] % (S + 1)
+            for bnd, r2 in enumerate(sup2):
+                grid[sim_id, bnd] += int((d2 <= r2).sum())
+        return pa.table({"sim": sims, "band": bands, "cnt": grid.ravel()})
 
     halo = ds.select_columns([key_col, x_col, y_col]).map_batches(
         expand, batch_format="pyarrow")
-    sup2 = support * support
-
-    def band_counts(g: pd.DataFrame) -> pd.DataFrame:
-        core = g[g["core"]]
-        if not len(core):
-            return pd.DataFrame({"sim": pd.array([], dtype="int64"),
-                                 "band": pd.array([], dtype="int64"),
-                                 "cnt": pd.array([], dtype="int64")})
-        sim_id = int(core["sim"].iloc[0])
-        px = g["px"].to_numpy()
-        py = g["py"].to_numpy()
-        gkey = g["key"].to_numpy()
-        cx = core["px"].to_numpy()
-        cy = core["py"].to_numpy()
-        ckey = core["key"].to_numpy()
-        out = np.zeros(len(support), dtype=np.int64)
-        chunk = max(1, int(4_000_000 / max(1, len(px))))
-        for i in range(0, len(cx), chunk):
-            sl = slice(i, min(i + chunk, len(cx)))
-            d2 = (cx[sl, None] - px[None, :]) ** 2 + (cy[sl, None] - py[None, :]) ** 2
-            d2[gkey[None, :] == ckey[sl, None]] = np.inf
-            for bnd, r2 in enumerate(sup2):
-                out[bnd] += int((d2 <= r2).sum())
-        return pd.DataFrame({"sim": np.full(len(support), sim_id, dtype=np.int64),
-                             "band": np.arange(len(support), dtype=np.int64),
-                             "cnt": out})
-
-    parts = halo.groupby("gcell").map_groups(band_counts, batch_format="pandas")
-    totals = parts.groupby(["sim", "band"]).aggregate(Sum("cnt", alias_name="total")) \
+    tot = segment_map(halo, "gcell", band_counts, pa.schema(
+        [("sim", pa.int64()), ("band", pa.int64()), ("cnt", pa.int64())])) \
         .to_pandas()
-    grid = np.zeros((S + 1, len(support)), dtype=np.float64)
-    for _, row in totals.iterrows():
-        grid[int(row["sim"]), int(row["band"])] = float(row["total"])
+    grid = np.zeros((S + 1, len(support)), dtype=np.int64)
+    np.add.at(grid, (tot["sim"].to_numpy(), tot["band"].to_numpy()),
+              tot["cnt"].to_numpy())
     khat = area * grid / (n * (n - 1))
     stat = khat[0]
     sims_arr = khat[1:]

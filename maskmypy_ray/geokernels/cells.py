@@ -19,10 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..util import segment_bounds
+
 # Offset so planar grid indices are non-negative for any |coordinate| < ~2^40 m.
 _GRID_OFFSET = 1 << 20
 # Row stride for packing (gx, gy) into one int64: supports gx, gy < 2^21.
 _GRID_STRIDE = 1 << 21
+# Cap on one pairwise step's rows x columns (~32 MB per float64 temp).
+MAX_PAIRS = 4_000_000
 
 
 def cell_of_latlon(lat: np.ndarray, lon: np.ndarray, res: int) -> np.ndarray:
@@ -65,6 +69,67 @@ def neighbors_xy(cell: np.ndarray, ring: int = 1,
         keep = np.maximum(np.abs(dx), np.abs(dy)) > inner
         dx, dy = dx[keep], dy[keep]
     return cell + dy * _GRID_STRIDE + dx
+
+
+def halo_of_xy(x: np.ndarray, y: np.ndarray,
+               cell_m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 3x3 halo replication of a cell self-join: ``(rep, cell,
+    home)``, nine rows per point — ``rep`` the point's row, ``cell`` one
+    of its ring cells, ``home`` True on the one copy in its own cell.
+    Every point within ``cell_m`` of a point lives in a cell its home
+    copy shares with that point's halo copies."""
+    own = cell_of_xy(x, y, cell_m)
+    nb = neighbors_xy(own, ring=1)
+    rep = np.repeat(np.arange(len(own)), nb.shape[1])
+    return rep, nb.ravel(), (nb == own[:, None]).ravel()
+
+
+def halo_rows(batch, cell_m: float, x_col: str, y_col: str, key_col: str):
+    """``(rep, table)``: a point batch's :func:`halo_of_xy` replication
+    as the int64/float64 ``(cell, key, px, py, home)`` rows a cell
+    self-join sorts by ``cell``; ``rep`` maps each row to its batch row,
+    for callers that carry more columns."""
+    import pyarrow as pa
+
+    x = batch.column(x_col).to_numpy(zero_copy_only=False)
+    y = batch.column(y_col).to_numpy(zero_copy_only=False)
+    keys = batch.column(key_col).to_numpy(zero_copy_only=False)
+    rep, cell, home = halo_of_xy(x, y, cell_m)
+    return rep, pa.table({
+        "cell": pa.array(cell, type=pa.int64()),
+        "key": pa.array(keys[rep].astype(np.int64), type=pa.int64()),
+        "px": pa.array(x[rep], type=pa.float64()),
+        "py": pa.array(y[rep], type=pa.float64()),
+        "home": pa.array(home),
+    })
+
+
+def halo_pair_d2(cell: np.ndarray, core: np.ndarray, x: np.ndarray,
+                 y: np.ndarray, key: np.ndarray | None = None,
+                 cand: np.ndarray | None = None):
+    """The pair loop of a cell self-join over rows sorted by ``cell``:
+    every ``core`` row against every row of its cell segment (only the
+    ``cand`` rows, when given), as squared distances. Yields ``(ci, gi,
+    d2)`` with ``d2[i, j]`` the squared distance of row ``ci[i]`` to row
+    ``gi[j]``; a segment's core rows are chunked so no ``d2`` exceeds
+    MAX_PAIRS elements. With ``key``, pairs of equal key (a point and
+    itself) get ``inf``."""
+    starts, ends = segment_bounds(cell)
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        ci = s + np.flatnonzero(core[s:e])
+        gi = np.arange(s, e) if cand is None \
+            else s + np.flatnonzero(cand[s:e])
+        if not len(ci) or not len(gi):
+            continue
+        gx, gy = x[gi], y[gi]
+        step = max(1, MAX_PAIRS // len(gi))
+        for i in range(0, len(ci), step):
+            c = ci[i:i + step]
+            d2 = (x[c, None] - gx[None, :]) ** 2 \
+                + (y[c, None] - gy[None, :]) ** 2
+            if key is not None:
+                d2[key[c, None] == key[gi][None, :]] = np.inf
+            yield c, gi, d2
 
 
 def cover_circle_xy(

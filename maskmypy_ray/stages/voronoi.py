@@ -15,9 +15,10 @@ is verified per point via the half-width bound (cell boundary distance
 
 Distributed shape: the whole point set (just x, y — 16 bytes/point) is
 broadcast to an actor pool; each actor builds a KD-grid once and answers
-per-point queries vectorized over neighbors. At 10^12 scale the design
-switches to per-cell kNN with halo rings (SURVEY.md §2.1 M6) — the
-broadcast variant is exact and adequate up to ~10^8 points.
+per-point queries vectorized over neighbors; it is exact and adequate up
+to ~10^8 points. ``voronoi_celled`` is the scale path (SURVEY.md §2.1
+M6): the cell-halo self-join of nnd, with per-point kNN inside each
+cell's 3x3 halo and doubling-cell fallback passes.
 """
 
 from __future__ import annotations
@@ -173,119 +174,89 @@ def voronoi(ds, key_col: str = "doc_id",
     return _maybe_snap(masked, snap_to_streets, graph)
 
 
-def _vhalo_batch(batch: pa.Table, cell_m: float, key_col: str,
-                 carry: tuple[str, ...], remaining: np.ndarray | None = None) -> pa.Table:
-    """3x3 halo replication like nnd._halo_batch, additionally carrying
-    pass-through columns (e.g. url) on CORE rows only (halo copies get
-    empty values so the shuffle doesn't ship payload 9x). ``remaining``
-    (sorted key array) restricts CORE rows to those keys — fallback
-    passes recompute only the still-uncertified points, while every
-    point still participates as a neighbor."""
-    from ..geokernels.cells import cell_of_xy, neighbors_xy
-
-    x = batch.column("x").to_numpy(zero_copy_only=False)
-    y = batch.column("y").to_numpy(zero_copy_only=False)
-    keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-    own = cell_of_xy(x, y, cell_m)
-    nb = neighbors_xy(own, ring=1)
-    n, k = nb.shape
-    rep = np.repeat(np.arange(n), k)
-    is_core = (nb == own[:, None]).ravel()
-    if remaining is not None:
-        pos = np.searchsorted(remaining, keys)
-        in_rem = (pos < len(remaining)) & (remaining[np.minimum(pos, len(remaining) - 1)] == keys)
-        is_core &= in_rem[rep]
-    cols = {
-        "cell": pa.array(nb.ravel(), type=pa.int64()),
-        "key": pa.array(keys[rep], type=pa.int64()),
-        "px": pa.array(x[rep], type=pa.float64()),
-        "py": pa.array(y[rep], type=pa.float64()),
-        "core": pa.array(is_core),
-    }
-    for c in carry:
-        vals = np.asarray(batch.column(c).to_pylist(), dtype=object)[rep]
-        vals[~is_core] = ""
-        cols[c] = pa.array(vals.tolist(), type=pa.string())
-    return pa.table(cols)
-
-
 def _voronoi_pass(ds, pass_cell: float, key_col: str, knn: int,
                   carry: tuple[str, ...], remaining_ref, final: bool):
-    """One celled halo-shuffle voronoi pass. Emits (key, mx, my,
+    """One celled cell-halo voronoi pass. Emits (key, mx, my,
     certified, *carry) for core points (all points, or — on fallback
-    passes — only the ``remaining`` uncertified keys)."""
-    import pandas as pd
+    passes — only the ``remaining`` uncertified keys, while every point
+    still participates as a neighbor)."""
     import ray
 
+    from ..geokernels.cells import halo_pair_d2, halo_rows
+    from ..util import segment_map, sorted_member_mask
+
     def halo(b: pa.Table) -> pa.Table:
-        rem = ray.get(remaining_ref) if remaining_ref is not None else None
-        return _vhalo_batch(b, pass_cell, key_col, carry, remaining=rem)
+        rep, t = halo_rows(b, pass_cell, "x", "y", key_col)
+        core = t.column("home").to_numpy(zero_copy_only=False)
+        if remaining_ref is not None:
+            keys = b.column(key_col).to_numpy(zero_copy_only=False)
+            core = core & sorted_member_mask(ray.get(remaining_ref), keys)[rep]
+            t = t.set_column(t.schema.get_field_index("home"), "home",
+                             pa.array(core))
+        # pass-through columns ride on core rows only: halo copies get
+        # empty values so the shuffle doesn't ship payload 9x
+        for c in carry:
+            vals = np.asarray(b.column(c).to_pylist(), dtype=object)[rep]
+            vals[~core] = ""
+            t = t.append_column(c, pa.array(vals.tolist(), type=pa.string()))
+        return t
 
-    empty_cols = {"key": pd.array([], dtype="int64"),
-                  "mx": pd.array([], dtype="float64"),
-                  "my": pd.array([], dtype="float64"),
-                  "certified": pd.array([], dtype="bool"),
-                  **{c: pd.array([], dtype="str") for c in carry}}
+    def mask_block(block: pa.Table) -> pa.Table:
+        def col(name):
+            return block.column(name).to_numpy(zero_copy_only=False)
 
-    def mask_group(g: pd.DataFrame) -> pd.DataFrame:
-        core = g[g["core"]]
-        nc = len(core)
-        if not nc:
-            return pd.DataFrame(empty_cols)
-        px = g["px"].to_numpy()
-        py = g["py"].to_numpy()
-        gkey = g["key"].to_numpy()
-        cx = core["px"].to_numpy()
-        cy = core["py"].to_numpy()
-        ckey = core["key"].to_numpy()
-        mx = np.empty(nc)
-        my = np.empty(nc)
-        cert = np.zeros(nc, dtype=bool)
-        # final pass (halo >= whole extent => the group holds every
-        # site): consider ALL in-group neighbors — exact by construction
-        kk = len(px) - 1 if final else min(knn, len(px) - 1)
-        chunk = max(1, int(4_000_000 / max(1, len(px))))
-        for i0 in range(0, nc, chunk):
-            sl = slice(i0, min(i0 + chunk, nc))
-            d2 = (cx[sl, None] - px[None, :]) ** 2 + (cy[sl, None] - py[None, :]) ** 2
-            d2[gkey[None, :] == ckey[sl, None]] = np.inf
+        px, py, key, core = col("px"), col("py"), col("key"), col("home")
+        mx = np.empty(block.num_rows)
+        my = np.empty(block.num_rows)
+        cert = np.zeros(block.num_rows, dtype=bool)
+        for ci, gi, d2 in halo_pair_d2(col("cell"), core, px, py, key):
+            # final pass (halo >= whole extent => the segment holds every
+            # site): consider ALL in-cell neighbors — exact by construction
+            kk = len(gi) - 1 if final else min(knn, len(gi) - 1)
             order = np.argsort(d2, axis=1, kind="stable")[:, :max(kk, 1)]
             od2 = np.take_along_axis(d2, order, axis=1)
             nvalid = np.isfinite(od2).sum(axis=1)
-            for j in range(sl.stop - sl.start):
-                i = i0 + j
+            for j, i in enumerate(ci.tolist()):
                 nv = int(nvalid[j])
                 if not nv:
-                    mx[i], my[i] = cx[i], cy[i]
+                    mx[i], my[i] = px[i], py[i]
                     cert[i] = bool(final)  # isolated single point
                     continue
-                sel = order[j, :nv]
-                qx, qy, dist = voronoi_cell_nearest(cx[i], cy[i],
+                sel = gi[order[j, :nv]]
+                qx, qy, dist = voronoi_cell_nearest(px[i], py[i],
                                                     px[sel], py[sel],
                                                     box_half=4 * pass_cell)
                 kth = float(np.sqrt(od2[j, nv - 1]))
                 mx[i], my[i] = qx, qy
                 cert[i] = (dist <= kth / 2.0 and kth <= pass_cell) or final
-        out = {"key": ckey, "mx": mx, "my": my, "certified": cert}
+        out = {"key": pa.array(key[core], type=pa.int64()),
+               "mx": pa.array(mx[core], type=pa.float64()),
+               "my": pa.array(my[core], type=pa.float64()),
+               "certified": pa.array(cert[core])}
         for c in carry:
-            out[c] = core[c].to_numpy()
-        return pd.DataFrame(out)
+            out[c] = block.column(c).filter(pa.array(core))
+        return pa.table(out)
 
-    return ds.map_batches(halo, batch_format="pyarrow") \
-        .groupby("cell").map_groups(mask_group, batch_format="pandas")
+    schema = pa.schema([("key", pa.int64()), ("mx", pa.float64()),
+                        ("my", pa.float64()), ("certified", pa.bool_()),
+                        *((c, pa.string()) for c in carry)])
+    return segment_map(ds.map_batches(halo, batch_format="pyarrow"), "cell",
+                       mask_block, schema)
 
 
 def voronoi_celled(ds, cell_m: float, key_col: str = "doc_id", knn: int = 24,
                    carry: tuple[str, ...] = ()):
     """Per-cell voronoi mask with halo rings — the 10^12-row path.
 
-    Points are bucketed into ``cell_m`` cells and replicated to their 3x3
-    halo; each ``groupby(cell)`` group computes every core point's cell
-    boundary from its in-group neighbors. Group kernel is vectorized
-    (VERDICT r01 #4): one chunked distance matrix per group, per-row
-    argsort for the kNN neighbor lists; only the half-plane clip itself
-    (inherently sequential small-geometry) runs per point over numpy
-    slices. The per-point exactness certificate applies (boundary
+    A cell-halo self-join, like nnd: points are bucketed into ``cell_m``
+    cells and replicated to their 3x3 halo (``halo_of_xy``); one
+    ``segment_map`` over ``cell`` hands each sorted block to one pyarrow
+    kernel, which runs the shared pair loop (``halo_pair_d2``) and takes
+    each core point's Voronoi cell boundary from its in-cell neighbors:
+    one chunked distance matrix per cell, per-row argsort for the kNN
+    neighbor lists; only the half-plane clip itself (inherently
+    sequential small-geometry) runs per point over numpy slices. The
+    per-point exactness certificate applies (boundary
     distance <= half the distance to the farthest considered neighbor,
     itself certified when that distance <= the pass's cell size):
     certified points are exact.
@@ -295,7 +266,7 @@ def voronoi_celled(ds, cell_m: float, key_col: str = "doc_id", knn: int = 24,
     passes — pass p uses cell size ``cell_m * 2^p`` (so its 3x3 halo
     reaches twice as far) and doubled neighbor count, recomputing ONLY
     the still-uncertified keys while every point participates as a
-    neighbor. Once the pass cell covers the data extent the group holds
+    neighbor. Once the pass cell covers the data extent the cell holds
     every site and the kernel considers them all — exact by
     construction — so the loop always terminates with every output
     certified. Only the uncertified KEY LIST ever visits the driver

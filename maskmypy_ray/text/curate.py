@@ -293,8 +293,8 @@ reach(node, label) AS (
   SELECT doc_id, doc_id FROM s2
   UNION
   SELECT s.b, r.label FROM reach r JOIN sym s ON s.a = r.node),
-cc AS (SELECT node AS doc_id, min(label) AS cluster FROM reach
-       GROUP BY node),
+cc AS MATERIALIZED (SELECT node AS doc_id, min(label) AS cluster
+       FROM reach GROUP BY node),
 s3 AS (SELECT s2.doc_id, s2.text FROM s2
        JOIN cc ON cc.doc_id = s2.doc_id WHERE cc.cluster = s2.doc_id),
 dt AS (SELECT doc_id, list_filter(string_split_regex(lower(text),

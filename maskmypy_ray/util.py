@@ -20,6 +20,37 @@ def auto_concurrency(cap: int = 64) -> tuple[int, int]:
     return (1, max(1, min(cap, cpus - 2)))
 
 
+def segment_bounds(keys):
+    """``(starts, ends)`` of the runs of equal values in ``keys``, an
+    array already sorted so each key is one contiguous run."""
+    import numpy as np
+
+    keys = np.asarray(keys)
+    if not len(keys):
+        z = np.array([], dtype=np.int64)
+        return z, z
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return starts, np.r_[starts[1:], len(keys)]
+
+
+def segment_map(ds, key: str, kernel, schema):
+    """``kernel(block)`` over every block of ``ds.sort(key)``, each block
+    whole (``batch_size=None``) and in pyarrow: the fine-key group
+    shape without a UDF call per group. The sort's range partitioning
+    keeps every key inside one block, so the kernel finds complete
+    segments (:func:`segment_bounds`); ``schema`` types what an empty
+    block yields. (Ray 2.49 forwards a zero-row block without calling a
+    map UDF, so a sort's empty partitions pass through schema-less; the
+    kernels type their own empty outputs.) The sort is an all-to-all
+    barrier, so the whole-block map never fuses with a row-expanding
+    upstream stage."""
+    def fn(block):
+        return kernel(block) if block.num_rows else schema.empty_table()
+
+    return ds.sort(key).map_batches(fn, batch_format="pyarrow",
+                                    batch_size=None)
+
+
 def run_local_ranks(new):
     """0-based rank of each row WITHIN its run, given run-start
     indicator ``new`` over rows already sorted so each run is

@@ -66,6 +66,31 @@ def test_nnd_delta_translate_50(ray_session, points_table):
     assert d == {"nnd_min_delta": 0.0, "nnd_max_delta": 0.0, "nnd_mean_delta": 0.0}
 
 
+def test_nnd_per_point_matches_brute_force(ray_session):
+    """Exact nearest-neighbor distances against a numpy brute force: an
+    isolated point more than cell_m from all others (the fallback pass),
+    two coincident points with different keys (nnd 0), points exactly
+    on cell edges and negative coordinates."""
+    import ray.data
+
+    from maskmypy_ray.analysis.nnd import nnd_per_point
+
+    rng = np.random.default_rng(2)
+    x = np.r_[rng.uniform(-2500, 2500, 40), 9000.0, 120.5, 120.5,
+              0.0, 1000.0, -1000.0, 2000.0]
+    y = np.r_[rng.uniform(-2500, 2500, 40), -9000.0, -75.0, -75.0,
+              1000.0, 1000.0, -1000.0, -2000.0]
+    keys = np.arange(len(x), dtype=np.int64) * 3 + 1
+    ds = ray.data.from_arrow(pa.table({"doc_id": keys, "x": x, "y": y}))
+    got = nnd_per_point(ds, cell_m=1000.0).to_pandas().sort_values("key")
+    d2 = (x[:, None] - x[None, :]) ** 2 + (y[:, None] - y[None, :]) ** 2
+    np.fill_diagonal(d2, np.inf)
+    assert got["key"].tolist() == keys.tolist()
+    assert np.array_equal(got["nnd"].to_numpy(), np.sqrt(d2.min(axis=1)))
+    assert got["nnd"].iloc[40] > 1000.0  # resolved by the fallback pass
+    assert got["nnd"].iloc[41] == got["nnd"].iloc[42] == 0.0
+
+
 def test_calculate_k_golden_line(ray_session):
     """Address line golden cases (test_analysis.py:38-82), exact-circle
     expectations (west boundary address included; see module docstring)."""
@@ -184,7 +209,7 @@ def test_ripley_distributed_matches_inmemory(ray_session, sf_dir):
     """Distributed cell+halo band counts equal the in-memory kernel."""
     import numpy as np
 
-    from maskmypy_ray.analysis.ripley import _k_stat, k_stat_distributed
+    from maskmypy_ray.analysis.ripley import _k_stat, ripleys_k
     from maskmypy_ray.pipelines import points_ds
 
     ds = points_ds(sf_dir).materialize()
@@ -193,7 +218,7 @@ def test_ripley_distributed_matches_inmemory(ray_session, sf_dir):
     max_dist = 0.25 * min(x.max() - x.min(), y.max() - y.min())
     support = np.linspace(max_dist / 5, max_dist, 5)
     mem = _k_stat(x, y, support)
-    dist = k_stat_distributed(ds, support)
+    dist = ripleys_k(ds, max_dist=max_dist, steps=5, simulations=0).statistic
     assert np.allclose(mem, dist, rtol=1e-12)
 
 

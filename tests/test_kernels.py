@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from maskmypy_ray.analysis.k_anonymity import circle_polygon_area_exact
+from maskmypy_ray.geokernels import cells as cells_mod
 from maskmypy_ray.geokernels.cells import (
     cell_of_xy,
     cell_xy_components,
     cover_circle_xy,
+    halo_of_xy,
+    halo_pair_d2,
     neighbors_xy,
 )
 from maskmypy_ray.geokernels.geometry import (
@@ -15,6 +18,55 @@ from maskmypy_ray.geokernels.geometry import (
     xy_to_latlon,
 )
 from maskmypy_ray.geokernels.pip import PolygonSet
+
+
+def test_halo_of_xy_is_the_ring_with_one_home_row():
+    rng = np.random.default_rng(3)
+    x = np.r_[rng.uniform(-3000, 3000, 50), 0.0, 500.0, -500.0]
+    y = np.r_[rng.uniform(-3000, 3000, 50), 500.0, -1000.0, 0.0]
+    rep, cell, home = halo_of_xy(x, y, 500.0)
+    own = cell_of_xy(x, y, 500.0)
+    assert np.array_equal(rep, np.repeat(np.arange(len(x)), 9))
+    assert np.array_equal(cell, neighbors_xy(own, 1).ravel())
+    assert np.array_equal(np.bincount(rep[home], minlength=len(x)),
+                          np.ones(len(x)))
+    assert np.array_equal(cell[home], own)
+
+
+def _pair_rows(cell, core, x, y, key=None, cand=None):
+    """{(core row, candidate row): d2} from the chunked pair loop."""
+    out = {}
+    for ci, gi, d2 in halo_pair_d2(cell, core, x, y, key, cand):
+        assert d2.shape == (len(ci), len(gi))
+        for i, c in enumerate(ci):
+            for j, g in enumerate(gi):
+                assert (c, g) not in out
+                out[(int(c), int(g))] = d2[i, j]
+    return out
+
+
+@pytest.mark.parametrize("max_pairs", [1, 5, 4_000_000])
+def test_halo_pair_d2_chunking_matches_unchunked(monkeypatch, max_pairs):
+    """Each core row meets each (candidate) row of its cell segment once,
+    with the unchunked (a - b) ** 2 distances, at any chunk bound."""
+    rng = np.random.default_rng(5)
+    cell = np.sort(rng.integers(0, 6, 60))
+    core = rng.random(60) < 0.5
+    cand = rng.random(60) < 0.7
+    key = rng.integers(0, 40, 60)
+    x, y = rng.uniform(-9, 9, 60), rng.uniform(-9, 9, 60)
+    full = (x[:, None] - x[None, :]) ** 2 + (y[:, None] - y[None, :]) ** 2
+    monkeypatch.setattr(cells_mod, "MAX_PAIRS", max_pairs)
+    for kw in ({}, {"key": key}, {"key": key, "cand": cand}):
+        got = _pair_rows(cell, core, x, y, **kw)
+        want = {}
+        for c in np.flatnonzero(core):
+            for g in np.flatnonzero(cell == cell[c]):
+                if "cand" in kw and not cand[g]:
+                    continue
+                same = "key" in kw and key[c] == key[g]
+                want[(int(c), int(g))] = np.inf if same else full[c, g]
+        assert got == want
 
 
 def test_projection_roundtrip():

@@ -103,11 +103,12 @@ def test_knn_join_matches_brute_force(ray_session, sf_dir):
 
 def test_knn_join_far_points(ray_session, sf_dir):
     """Points 20 km and 200 km outside the address cloud, next to
-    ordinary points, resolve only after many ring doublings (the 500 m
-    index needs ring 64 and ring 512; a 100 m index takes ordinary points
-    through rings 2-8 as well): each doubling gathers just its annulus
-    and merges it with the carried top-k, and the result still equals
-    brute force on ids and exact dist2."""
+    ordinary points, resolve after ring doublings (a 100 m index takes
+    ordinary points through rings 2-8): each doubling gathers just its
+    annulus and merges it with the carried top-k, and a point whose next
+    ring block holds as many cells as there are addresses is ranked
+    against all of them. The result equals brute force on ids and exact
+    dist2 at both index sizes, the 200 km points included."""
     import pandas as pd
     import ray.data
 
@@ -128,10 +129,9 @@ def test_knn_join_far_points(ray_session, sf_dir):
                ay.max() + 150_000.0],
     })
     pts = pd.concat([near, far], ignore_index=True)
-    # the 100 m index skips the 200 km points (ring 2048 is ~13M cells)
-    for cell_m, n in ((500.0, len(pts)), (100.0, len(near) + 2)):
-        got = knn_join(ray.data.from_pandas(pts.head(n)),
+    for cell_m in (500.0, 100.0):
+        got = knn_join(ray.data.from_pandas(pts),
                        read_addresses(sf_dir, seed=SEED), k=3,
                        cell_m=cell_m).to_pandas() \
             .sort_values(["doc_id", "rank"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, _brute_knn(pts.head(n), ad, 3))
+        pd.testing.assert_frame_equal(got, _brute_knn(pts, ad, 3))

@@ -145,3 +145,65 @@ def test_shuffle_plan_output_schema(masked, sf_dir):
     assert list(df.columns) == ["pid", "k_anonymity"]
     assert [str(t) for t in df.dtypes] == ["int64", "int64"]
     assert len(df) == masked.count()
+
+
+def test_segment_map_keeps_each_key_in_one_kernel_call(ray_session):
+    """More sorted blocks than keys, one hot key: every key's rows reach
+    exactly one kernel call, whole, and every output block that has rows
+    carries the declared schema."""
+    import os
+
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from maskmypy_ray.util import segment_bounds, segment_map
+
+    rng = np.random.default_rng(11)
+    keys = rng.permutation(np.r_[np.full(3000, 7), np.repeat([2, 9, 30], 400)])
+    t = pa.table({"k": keys.astype(np.int64), "v": np.arange(len(keys))})
+    schema = pa.schema([("k", pa.int64()), ("n", pa.int64()),
+                        ("call", pa.int64())])
+
+    def kernel(b):
+        k = b.column("k").to_numpy()
+        s, e = segment_bounds(k)
+        call = int.from_bytes(os.urandom(7), "little")
+        return pa.table({"k": k[s], "n": e - s,
+                         "call": np.full(len(s), call)})
+
+    blocks = ray.get(segment_map(ray.data.from_arrow(t).repartition(8), "k",
+                                 kernel, schema).to_arrow_refs())
+    assert len(blocks) > 4
+    full = [b for b in blocks if b.num_rows]
+    assert all(b.schema == schema for b in full)
+    out = pa.concat_tables(full).to_pandas()
+    assert sorted(out["k"]) == [2, 7, 9, 30]  # one segment row per key
+    assert dict(zip(out["k"], out["n"])) == {7: 3000, 2: 400, 9: 400, 30: 400}
+
+
+def test_segment_map_empty_block_is_typed():
+    """The block function segment_map hands to map_batches runs the
+    kernel on a whole pyarrow block and turns an empty block into the
+    declared schema's empty table."""
+    import pyarrow as pa
+
+    from maskmypy_ray.util import segment_map
+
+    class Fake:
+        def sort(self, key):
+            self.key = key
+            return self
+
+        def map_batches(self, fn, **kwargs):
+            self.fn, self.kwargs = fn, kwargs
+            return self
+
+    schema = pa.schema([("k", pa.int64()), ("n", pa.int64())])
+    fake = segment_map(Fake(), "k", lambda b: pa.table(
+        {"k": b.column("k"), "n": b.column("k")}), schema)
+    assert fake.key == "k"
+    assert fake.kwargs == {"batch_format": "pyarrow", "batch_size": None}
+    empty = fake.fn(pa.table({"k": pa.array([], type=pa.int64())}))
+    assert empty.schema == schema and empty.num_rows == 0
+    assert fake.fn(pa.table({"k": [3]})).to_pydict() == {"k": [3], "n": [3]}
