@@ -145,12 +145,73 @@ def _finite_stats(ds, col: str) -> tuple[int, float, float]:
 
 def _refinable(lo: float, hi: float) -> bool:
     """True if [lo, hi] can host another 1024-bin histogram pass —
-    i.e. its 1025-point linspace is strictly increasing (np.histogram
-    rejects duplicate edges, which appear once the window narrows to a
-    few ulps around a tie run)."""
+    i.e. its 1025-point linspace is strictly increasing (duplicate
+    edges appear once the window narrows to a few ulps around a tie
+    run; the bin between two equal edges can never hold a row, so
+    refining further would not split anything)."""
     if not hi > lo:
         return False
     return bool(np.all(np.diff(np.linspace(lo, hi, 1025)) > 0))
+
+
+def _hist_rows(v: np.ndarray, edges: np.ndarray, w=None) -> dict:
+    """One row per NON-EMPTY bin of values ``v`` (already inside the
+    window) over ``edges``: bin index, row count ``c``, value min
+    ``mn`` and max ``mx``, and the weight sum ``wsum`` when ``w`` is
+    given. Bins are ``np.histogram``'s (right-open, the last one
+    closed); integer weights sum exactly (below 2^53 per batch).
+
+    Empty bins send no row, so the per-pass groupby works on occupied
+    bins only. ``mn == mx`` marks a bin holding one distinct value: a
+    descent stops there, since narrowing it further only shrinks the
+    window towards denormal width without splitting any row off."""
+    nb = len(edges) - 1
+    idx = np.minimum(np.searchsorted(edges, v, side="right") - 1, nb - 1)
+    c = np.bincount(idx, minlength=nb)
+    nz = np.flatnonzero(c)
+    mn = np.full(nb, np.inf)
+    mx = np.full(nb, -np.inf)
+    np.minimum.at(mn, idx, v)
+    np.maximum.at(mx, idx, v)
+    rows = {"bin": nz, "c": c[nz], "mn": mn[nz], "mx": mx[nz]}
+    if w is not None:
+        rows["wsum"] = np.bincount(idx, weights=w.astype(np.float64),
+                                   minlength=nb)[nz].astype(np.int64)
+    return rows
+
+
+def _hist_table(parts, weighted: bool = False):
+    """The ``_hist_rows`` of every ``(window, rows)`` in ``parts`` as
+    one typed table (``w`` = window index)."""
+    import pyarrow as pa
+
+    types = {"w": pa.int64(), "bin": pa.int64(), "c": pa.int64(),
+             "mn": pa.float64(), "mx": pa.float64()}
+    if weighted:
+        types["wsum"] = pa.int64()
+    cols = {n: [np.full(len(r["bin"]), wi, dtype=np.int64) if n == "w"
+                else r[n] for wi, r in parts] for n in types}
+    return pa.table({n: pa.array(np.concatenate(cols[n]) if cols[n] else [],
+                                 type=t) for n, t in types.items()})
+
+
+def _combine_hist(hist_ds, weighted: bool = False) -> dict:
+    """Cross-batch combine of ``_hist_table`` rows, per window: dense
+    1024-vectors of the row count ``n``, value ``mn``/``mx`` (+-inf in
+    empty bins) and, when ``weighted``, the weight sum ``ws``."""
+    from ray.data.aggregate import Max, Min, Sum
+
+    aggs = [Sum("c", alias_name="n"), Min("mn", alias_name="mn"),
+            Max("mx", alias_name="mx")]
+    if weighted:
+        aggs.append(Sum("wsum", alias_name="ws"))
+    df = hist_ds.groupby(["w", "bin"]).aggregate(*aggs).to_pandas()
+    fill = {"n": (0, np.int64), "mn": (np.inf, np.float64),
+            "mx": (-np.inf, np.float64), "ws": (0, np.int64)}
+    return {int(wi): {c: sub.set_index("bin")[c]
+                      .reindex(range(1024), fill_value=f).to_numpy(dtype=t)
+                      for c, (f, t) in fill.items() if c in sub}
+            for wi, sub in df.groupby("w")}
 
 
 def _kth_value(ds, col: str, rank: int, vmin: float, vmax: float,
@@ -159,7 +220,6 @@ def _kth_value(ds, col: str, rank: int, vmin: float, vmax: float,
     iterative 1024-bin histogram refinement — the column never leaves
     the cluster; only (1024,) counter vectors reach the driver."""
     import pyarrow as pa
-    from ray.data.aggregate import Sum
 
     lo, hi = vmin, vmax
     below = 0  # values strictly below current [lo, hi] window
@@ -179,18 +239,17 @@ def _kth_value(ds, col: str, rank: int, vmin: float, vmax: float,
 
         def hist(b: pa.Table) -> pa.Table:
             v = b.column(col).to_numpy(zero_copy_only=False)
-            v = v[(v >= lo) & (v <= hi)]
-            c, _ = np.histogram(v, bins=edges)
-            return pa.table({"bin": pa.array(np.arange(1024, dtype=np.int64)),
-                             "c": pa.array(c.astype(np.int64))})
+            return _hist_table([(0, _hist_rows(v[(v >= lo) & (v <= hi)],
+                                               edges))])
 
-        counts = ds.map_batches(hist, batch_format="pyarrow") \
-            .groupby("bin").aggregate(Sum("c", alias_name="n")).to_pandas() \
-            .set_index("bin")["n"].reindex(range(1024), fill_value=0).to_numpy()
+        bins = _combine_hist(ds.map_batches(hist, batch_format="pyarrow"))[0]
+        counts = bins["n"]
         cum = np.cumsum(counts)
         target = rank - below
         b = int(np.searchsorted(cum, target + 1))
         in_bin = int(counts[b])
+        if bins["mn"][b] == bins["mx"][b]:
+            return float(bins["mn"][b])  # the target bin holds one value
         # second/third disjunct: the target bin cannot be subdivided
         # further (zero width, or a tie run so narrow its 1024-linspace
         # would repeat edges) — collect the ties regardless of max_collect
@@ -285,9 +344,11 @@ def keyed_quantiles_distributed(ds, key_col: str, val_col: str,
     ranks = {(i, qi): int(np.floor(q * (n_by[i] - 1)))
              for i in range(len(keys)) for qi, q in enumerate(qs)}
 
-    # per (key_idx, q_idx): (lo, hi, below); resolved -> (blo,bhi,last,off)
+    # per (key_idx, q_idx): (lo, hi, below); resolved -> (blo,bhi,last,off);
+    # known -> the value itself (its bin held one distinct value)
     state: dict[tuple, tuple] = {}
     resolved: dict[tuple, tuple] = {}
+    known: dict[tuple, float] = {}
     for i in range(len(keys)):
         lo, hi = float(stats["vmin"][i]), float(stats["vmax"][i])
         for qi in range(len(qs)):
@@ -310,7 +371,7 @@ def keyed_quantiles_distributed(ds, key_col: str, val_col: str,
 
             bkeys = b.column(key_col).to_numpy(zero_copy_only=False)
             v = b.column(val_col).to_numpy(zero_copy_only=False).astype(np.float64)
-            ws, bins, cs = [], [], []
+            parts = []
             codes = pd.Categorical(bkeys, categories=keys).codes
             for i, wis in by_key.items():
                 vv = v[codes == i]
@@ -318,38 +379,25 @@ def keyed_quantiles_distributed(ds, key_col: str, val_col: str,
                     continue
                 for wi in wis:
                     _, lo, hi = windows[wi]
-                    sel = vv[(vv >= lo) & (vv <= hi)]
-                    c, _e = np.histogram(sel, bins=w_edges[wi])
-                    ws.append(np.full(1024, wi, dtype=np.int64))
-                    bins.append(np.arange(1024, dtype=np.int64))
-                    cs.append(c.astype(np.int64))
-            if not ws:
-                return pa.table({"w": pa.array([], type=pa.int64()),
-                                 "bin": pa.array([], type=pa.int64()),
-                                 "c": pa.array([], type=pa.int64())})
-            return pa.table({"w": pa.array(np.concatenate(ws)),
-                             "bin": pa.array(np.concatenate(bins)),
-                             "c": pa.array(np.concatenate(cs))})
+                    parts.append((wi, _hist_rows(vv[(vv >= lo) & (vv <= hi)],
+                                                 w_edges[wi])))
+            return _hist_table(parts)
 
-        cdf = ds.map_batches(hist, batch_format="pyarrow") \
-            .groupby(["w", "bin"]).aggregate(Sum("c", alias_name="n")) \
-            .to_pandas()
-        counts_by_w = {}
-        for wi in range(len(windows)):
-            sub = cdf[cdf["w"] == wi].set_index("bin")["n"]
-            counts_by_w[wi] = sub.reindex(range(1024), fill_value=0).to_numpy()
+        by_w = _combine_hist(ds.map_batches(hist, batch_format="pyarrow"))
 
         nxt = {}
         for (i, qi), (lo, hi, below) in state.items():
             wi = windows.index((i, lo, hi))
-            counts = counts_by_w[wi]
+            counts, mn, mx = (by_w[wi][c] for c in ("n", "mn", "mx"))
             edges = w_edges[wi]
             cum = np.cumsum(counts)
             target = ranks[(i, qi)] - below
             b = int(np.searchsorted(cum, target + 1))
             in_bin = int(counts[b])
             off = target - (int(cum[b - 1]) if b else 0)
-            if (in_bin <= max_collect
+            if mn[b] == mx[b]:  # one distinct value: the answer
+                known[(i, qi)] = float(mn[b])
+            elif (in_bin <= max_collect
                     or not _refinable(edges[b], edges[b + 1])):
                 resolved[(i, qi)] = (float(edges[b]), float(edges[b + 1]),
                                      b == 1023, off)
@@ -378,8 +426,12 @@ def keyed_quantiles_distributed(ds, key_col: str, val_col: str,
         return pa.table({"tag": pa.array(np.concatenate(tags)),
                          "val": pa.array(np.concatenate(vals))})
 
-    got = ds.map_batches(collect, batch_format="pyarrow").to_pandas()
     out: dict = {k: [None] * len(qs) for k in keys}
+    for (i, qi), val in known.items():
+        out[keys[i]][qi] = val
+    if not spans:
+        return out
+    got = ds.map_batches(collect, batch_format="pyarrow").to_pandas()
     for (i, qi), (blo, bhi, last, off) in resolved.items():
         si = spans.index((i, blo, bhi, last))
         vals = np.sort(got.loc[got["tag"] == si, "val"].to_numpy())
@@ -402,7 +454,6 @@ def exact_quantiles_distributed(ds, col: str, qs: list[float],
     total scans = 1 stats + ~2 refinement + 1 collect regardless of
     ``len(qs)``, vs (2-3) x len(qs) for independent descents."""
     import pyarrow as pa
-    from ray.data.aggregate import Sum
 
     n, vmin, vmax = _finite_stats(ds, col)
     if n == 0:
@@ -412,6 +463,7 @@ def exact_quantiles_distributed(ds, col: str, qs: list[float],
     # values strictly below it
     ranks = [int(np.floor(q * (n - 1))) for q in qs]
     resolved: dict[int, tuple[float, float, bool, int]] = {}  # i -> (blo, bhi, is_last, offset)
+    known: dict[int, float] = {}  # i -> value (its bin held one value)
     if _refinable(vmin, vmax):
         state = {i: (vmin, vmax, 0) for i in range(len(qs))}
     else:
@@ -426,37 +478,27 @@ def exact_quantiles_distributed(ds, col: str, qs: list[float],
 
         def hist(b: pa.Table, windows=windows, w_edges=w_edges) -> pa.Table:
             v = b.column(col).to_numpy(zero_copy_only=False)
-            ws, bins, cs = [], [], []
-            for wi, (lo, hi) in enumerate(windows):
-                vv = v[(v >= lo) & (v <= hi)]
-                c, _ = np.histogram(vv, bins=w_edges[(lo, hi)])
-                ws.append(np.full(1024, wi, dtype=np.int64))
-                bins.append(np.arange(1024, dtype=np.int64))
-                cs.append(c.astype(np.int64))
-            return pa.table({"w": pa.array(np.concatenate(ws)),
-                             "bin": pa.array(np.concatenate(bins)),
-                             "c": pa.array(np.concatenate(cs))})
+            return _hist_table([
+                (wi, _hist_rows(v[(v >= lo) & (v <= hi)], w_edges[(lo, hi)]))
+                for wi, (lo, hi) in enumerate(windows)])
 
-        cdf = ds.map_batches(hist, batch_format="pyarrow") \
-            .groupby(["w", "bin"]).aggregate(Sum("c", alias_name="n")).to_pandas()
-        counts_by_w = {}
-        for wi in range(len(windows)):
-            sub = cdf[cdf["w"] == wi].set_index("bin")["n"]
-            counts_by_w[wi] = sub.reindex(range(1024), fill_value=0).to_numpy()
+        by_w = _combine_hist(ds.map_batches(hist, batch_format="pyarrow"))
 
         nxt = {}
         for i, (lo, hi, below) in state.items():
             wi = windows.index((lo, hi))
-            counts = counts_by_w[wi]
+            counts, mn, mx = (by_w[wi][c] for c in ("n", "mn", "mx"))
             edges = w_edges[(lo, hi)]
             cum = np.cumsum(counts)
             target = ranks[i] - below
             b = int(np.searchsorted(cum, target + 1))
             in_bin = int(counts[b])
             off = target - (int(cum[b - 1]) if b else 0)
-            # tie-run guard as in _kth_value: collect any bin that
-            # cannot be subdivided further
-            if (in_bin <= max_collect
+            # tie-run guard as in _kth_value: a single-valued bin is the
+            # answer; collect any other bin that cannot be subdivided
+            if mn[b] == mx[b]:
+                known[i] = float(mn[b])
+            elif (in_bin <= max_collect
                     or not _refinable(edges[b], edges[b + 1])):
                 # np.histogram's LAST bin is closed on the right — the
                 # collect filter must mirror that per-window rule
@@ -480,9 +522,14 @@ def exact_quantiles_distributed(ds, col: str, qs: list[float],
         return pa.table({"tag": pa.array(np.concatenate(tags)),
                          col: pa.array(np.concatenate(vals))})
 
+    if not spans:
+        return [known[i] for i in range(len(qs))]
     got = ds.map_batches(collect, batch_format="pyarrow").to_pandas()
     out = []
     for i in range(len(qs)):
+        if i in known:
+            out.append(known[i])
+            continue
         blo, bhi, last, off = resolved[i]
         si = spans.index((blo, bhi, last))
         vals = np.sort(got.loc[got["tag"] == si, col].to_numpy())
@@ -556,29 +603,21 @@ def weighted_crossing_distributed(ds, val_col: str, w_col: str, target: int,
                  last=last) -> pa.Table:
             v, w = _sel(b)
             m = (v >= lo) & ((v <= hi) if last else (v < hi))
-            vv, ww = v[m], w[m]
-            ws, _ = np.histogram(vv, bins=edges, weights=ww.astype(np.float64))
-            cs, _ = np.histogram(vv, bins=edges)
-            return pa.table({
-                "bin": pa.array(np.arange(1024, dtype=np.int64)),
-                "wsum": pa.array(ws.astype(np.int64)),
-                "c": pa.array(cs.astype(np.int64)),
-            })
+            return _hist_table([(0, _hist_rows(v[m], edges, w[m]))],
+                               weighted=True)
 
-        cdf = ds.map_batches(hist, batch_format="pyarrow") \
-            .groupby("bin").aggregate(Sum("wsum", alias_name="w"),
-                                      Sum("c", alias_name="n")).to_pandas()
-        wbins = cdf.set_index("bin")["w"].reindex(
-            range(1024), fill_value=0).to_numpy().astype(np.int64)
-        nbins = cdf.set_index("bin")["n"].reindex(
-            range(1024), fill_value=0).to_numpy().astype(np.int64)
-        cum = np.cumsum(wbins)
+        bins = _combine_hist(ds.map_batches(hist, batch_format="pyarrow"),
+                             weighted=True)[0]
+        cum = np.cumsum(bins["ws"])
         b = int(np.searchsorted(cum, target - before, side="right"))
         if b:
             before += int(cum[b - 1])
         lo, hi = float(edges[b]), float(edges[b + 1])
         last = last and b == 1023
-        if int(nbins[b]) <= max_collect:
+        # the terminal pass aggregates per distinct value, so a bin of
+        # one value (however many rows) is as good as a small one
+        if (int(bins["n"][b]) <= max_collect
+                or bins["mn"][b] == bins["mx"][b]):
             break
 
     def term(b: pa.Table, lo=lo, hi=hi, last=last) -> pa.Table:
@@ -667,45 +706,28 @@ def weighted_quantiles_distributed(ds, val_col: str, w_col: str,
 
         def hist(b: pa.Table, windows=windows, w_edges=w_edges) -> pa.Table:
             v, w = _sel(b)
-            wis, bins, wss, cs = [], [], [], []
+            parts = []
             for wi, (lo, hi) in enumerate(windows):
                 m = (v >= lo) & (v <= hi)
-                vv, ww = v[m], w[m]
-                ws_, _ = np.histogram(vv, bins=w_edges[(lo, hi)],
-                                      weights=ww.astype(np.float64))
-                c_, _ = np.histogram(vv, bins=w_edges[(lo, hi)])
-                wis.append(np.full(1024, wi, dtype=np.int64))
-                bins.append(np.arange(1024, dtype=np.int64))
-                wss.append(ws_.astype(np.int64))
-                cs.append(c_.astype(np.int64))
-            return pa.table({"w": pa.array(np.concatenate(wis)),
-                             "bin": pa.array(np.concatenate(bins)),
-                             "wsum": pa.array(np.concatenate(wss)),
-                             "c": pa.array(np.concatenate(cs))})
+                parts.append((wi, _hist_rows(v[m], w_edges[(lo, hi)], w[m])))
+            return _hist_table(parts, weighted=True)
 
-        cdf = ds.map_batches(hist, batch_format="pyarrow") \
-            .groupby(["w", "bin"]).aggregate(
-                Sum("wsum", alias_name="ws"),
-                Sum("c", alias_name="n")).to_pandas()
-        by_w = {}
-        for wi in range(len(windows)):
-            sub = cdf[cdf["w"] == wi].set_index("bin")
-            by_w[wi] = (
-                sub["ws"].reindex(range(1024), fill_value=0).to_numpy()
-                .astype(np.int64),
-                sub["n"].reindex(range(1024), fill_value=0).to_numpy()
-                .astype(np.int64))
+        by_w = _combine_hist(ds.map_batches(hist, batch_format="pyarrow"),
+                             weighted=True)
 
         nxt = {}
         for i, (lo, hi, below) in state.items():
             wi = windows.index((lo, hi))
-            wbins, nbins = by_w[wi]
+            wbins, nbins, mn, mx = (by_w[wi][c]
+                                    for c in ("ws", "n", "mn", "mx"))
             edges = w_edges[(lo, hi)]
             cum = np.cumsum(wbins)
             target = ranks[i] - below
             b = int(np.searchsorted(cum, target, side="right"))
             w_before_bin = int(cum[b - 1]) if b else 0
-            if (int(nbins[b]) <= max_collect
+            # the terminal pass aggregates per distinct value, so a
+            # single-valued bin resolves however many rows it holds
+            if (int(nbins[b]) <= max_collect or mn[b] == mx[b]
                     or not _refinable(edges[b], edges[b + 1])):
                 resolved[i] = (float(edges[b]), float(edges[b + 1]),
                                b == 1023, target - w_before_bin)

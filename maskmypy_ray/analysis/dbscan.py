@@ -32,24 +32,25 @@ Scale shape (north_rule tiling engine — the cell-halo self-join of
    large-star/small-star rounds, one coarse shuffle each over the
    core-core edges, O(log n) rounds in practice however long the
    chains of core points;
-4. border + final assembly: the adjacency attaches component labels by
-   routing on the CORE key, then every per-point row (url side, flag
-   side, component side, border side) meets in ONE fused
-   ``groupby(key % P)`` merge. Nothing ever materializes on the
-   driver; the two `materialize()` checkpoints are bounded (one row
-   per point; one row per eps-neighbor pair — the same O(E) each
-   components round moves) and exist because each feeds two consumers
-   (round-4 dual-consumer rule).
+4. border + final assembly: one ``util.cogroup_map`` attaches
+   component labels to the border adjacency on the CORE key, then a
+   second one co-groups every per-point row (url side, flag side,
+   component side, border side) on the point key, with pyarrow joins
+   only, so keys stay int64 at any magnitude. Nothing ever
+   materializes on the driver; the two `materialize()` checkpoints
+   are bounded (one row per point; one row per eps-neighbor pair —
+   the same O(E) each components round moves) and exist because each
+   feeds two consumers (round-4 dual-consumer rule).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..geokernels.cells import halo_pair_d2, halo_rows
-from ..util import segment_map
+from ..util import cogroup_map, segment_map
 
 DEFAULT_PARTITIONS = 64
 DEFAULT_EPS_M = 300.0
@@ -58,6 +59,9 @@ FLAG_SCHEMA = pa.schema([("key", pa.int64()), ("px", pa.float64()),
                          ("py", pa.float64()), ("is_core", pa.int64())])
 ADJ_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                         ("kind", pa.int64())])
+CORE_SCHEMA = pa.schema([("key", pa.int64()), ("is_core", pa.int64())])
+BORDER_ADJ_SCHEMA = pa.schema([("b", pa.int64()), ("a", pa.int64())])
+BORDER_SCHEMA = pa.schema([("key", pa.int64()), ("cluster", pa.int64())])
 
 
 def _self_join(ds, eps: float, x_col: str, y_col: str, key_col: str,
@@ -107,13 +111,6 @@ def _edge_block(block: pa.Table, eps2: float) -> pa.Table:
                      "kind": np.where(core[a], 0, 1).astype(np.int64)})
 
 
-def _to_arrow_i64(cols: tuple[str, ...]):
-    def fn(d: pd.DataFrame) -> pa.Table:
-        return pa.table({c: pa.array(d[c].to_numpy(dtype="int64"),
-                                     type=pa.int64()) for c in cols})
-    return fn
-
-
 def dbscan(points_ds, eps: float = DEFAULT_EPS_M,
            min_pts: int = DEFAULT_MIN_PTS, x_col: str = "x",
            y_col: str = "y", key_col: str = "doc_id",
@@ -125,7 +122,7 @@ def dbscan(points_ds, eps: float = DEFAULT_EPS_M,
 
     SQL twin: `pipelines._dbscan_sql` (grid-bucketed neighbor join +
     recursive-CTE min-label closure over core-core edges)."""
-    from ..text.clusters import connected_components
+    from ..text.clusters import LABEL_SCHEMA, connected_components
 
     eps2 = eps * eps
     pts = points_ds.select_columns(
@@ -156,93 +153,40 @@ def dbscan(points_ds, eps: float = DEFAULT_EPS_M,
     cc = connected_components(nodes, core_edges, node_col="node",
                               max_rounds=max_rounds, partitions=partitions)
 
-    # -- border attach: route adjacency + labels by the CORE key -----------
-    # side rows share (key, other, v): v = -1 tags a label row
-    # (other = cluster), v = 1 tags an adjacency row (other = border key)
-    lab_side = cc.map_batches(
-        lambda b: pa.table({
-            "key": b.column("node"),
-            "other": b.column("cluster_id"),
-            "v": pa.array(np.full(len(b), -1, dtype=np.int64)),
-            "bp": pa.array(b.column("node").to_numpy(
-                zero_copy_only=False) % partitions, type=pa.int64()),
-        }), batch_format="pyarrow")
-    adj_side = adj.filter(expr="kind == 1").map_batches(
-        lambda b: pa.table({
-            "key": b.column("b"),
-            "other": b.column("a"),
-            "v": pa.array(np.ones(len(b), dtype=np.int64)),
-            "bp": pa.array(b.column("b").to_numpy(
-                zero_copy_only=False) % partitions, type=pa.int64()),
-        }), batch_format="pyarrow")
+    # -- border attach: labels meet border adjacency on the CORE key ------
+    def attach_border(lab: pa.Table, bor: pa.Table) -> pa.Table:
+        j = bor.join(lab, "b", "node", join_type="inner")
+        return pa.table({"key": j.column("a"),
+                         "cluster": j.column("cluster_id")})
 
-    def attach_border(g: pd.DataFrame) -> pd.DataFrame:
-        lab = g.loc[g["v"] == -1, ["key", "other"]] \
-            .rename(columns={"other": "cluster"})
-        bor = g.loc[g["v"] == 1, ["key", "other"]] \
-            .rename(columns={"other": "bkey"})
-        j = bor.merge(lab, on="key", how="inner")
-        return pd.DataFrame({"key": j["bkey"].to_numpy(dtype="int64"),
-                             "cluster": j["cluster"].to_numpy(dtype="int64")})
+    border_rows = cogroup_map(
+        [(cc, "node", LABEL_SCHEMA),
+         (adj.filter(expr="kind == 1"), "b", BORDER_ADJ_SCHEMA)],
+        attach_border, BORDER_SCHEMA)
 
-    border_rows = lab_side.union(adj_side).groupby("bp") \
-        .map_groups(attach_border, batch_format="pandas") \
-        .map_batches(_to_arrow_i64(("key", "cluster")),
-                     batch_format="pandas")
+    # -- final co-group: url side + flag side + cc side + border side ------
+    base_schema = pa.schema([(key_col, pa.int64())]
+                            + [(c, pa.string()) for c in carry])
+    out_schema = pa.schema([(c, pa.string()) for c in carry]
+                           + [("key", pa.int64()), ("cluster", pa.int64()),
+                              ("is_core", pa.int64())])
 
-    # -- final fused merge: url side + flag side + cc side + border side ---
-    def side(ds_in, s, key_src, val_src, carry_src):
-        def fn(b: pa.Table) -> pa.Table:
-            n = len(b)
-            k = b.column(key_src).to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            cols = {
-                "key": pa.array(k, type=pa.int64()),
-                "v": (b.column(val_src).cast(pa.int64()) if val_src
-                      else pa.array(np.zeros(n, dtype=np.int64))),
-                "side": pa.array(np.full(n, s, dtype=np.int64)),
-                "fp": pa.array(k % partitions, type=pa.int64()),
-            }
-            for c in carry:
-                cols[c] = (b.column(c) if carry_src
-                           else pa.array([""] * n, type=pa.string()))
-            return pa.table(cols)
-        return ds_in.map_batches(fn, batch_format="pyarrow")
-
-    s_url = side(pts, 0, key_col, None, True)
-    s_flag = side(flags, 1, "key", "is_core", False)
-    s_cc = side(cc, 2, "node", "cluster_id", False)
-    s_bor = side(border_rows, 3, "key", "cluster", False)
-
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        base = g[g["side"] == 0]
-        fl = g.loc[g["side"] == 1, ["key", "v"]] \
-            .rename(columns={"v": "is_core"})
-        lab = g.loc[g["side"] == 2, ["key", "v"]] \
-            .rename(columns={"v": "cl_cc"})
-        bor = g.loc[g["side"] == 3, ["key", "v"]] \
-            .groupby("key", as_index=False)["v"].min() \
-            .rename(columns={"v": "cl_bor"})
-        j = base.merge(fl, on="key", how="inner") \
-            .merge(lab, on="key", how="left") \
-            .merge(bor, on="key", how="left")
-        # left merges promote to float64; cluster ids are point keys
-        # (< 2^53 by contract), so the round-trip is exact
-        cl = j["cl_cc"].fillna(j["cl_bor"]).fillna(-1.0) \
-            .to_numpy(dtype="float64").astype(np.int64)
-        out = {c: j[c] for c in carry}
-        out["key"] = j["key"].to_numpy(dtype="int64")
-        out["cluster"] = cl
-        out["is_core"] = j["is_core"].to_numpy(dtype="int64")
-        return pd.DataFrame(out)
-
-    def to_arrow(d: pd.DataFrame) -> pa.Table:
-        cols = {c: pa.array(d[c].to_numpy(dtype=object), type=pa.string())
-                for c in carry}
-        for c in ("key", "cluster", "is_core"):
-            cols[c] = pa.array(d[c].to_numpy(dtype="int64"), type=pa.int64())
+    def finalize(base: pa.Table, fl: pa.Table, lab: pa.Table,
+                 bor: pa.Table) -> pa.Table:
+        bor = bor.group_by("key").aggregate([("cluster", "min")])
+        j = base.join(fl, key_col, "key", join_type="inner") \
+            .join(lab, key_col, "node") \
+            .join(bor, key_col, "key")
+        cols = {c: j.column(c) for c in carry}
+        cols["key"] = j.column(key_col)
+        cols["cluster"] = pc.coalesce(j.column("cluster_id"),
+                                      j.column("cluster_min"),
+                                      pa.scalar(-1, pa.int64()))
+        cols["is_core"] = j.column("is_core")
         return pa.table(cols)
 
-    return s_url.union(s_flag).union(s_cc).union(s_bor).groupby("fp") \
-        .map_groups(finalize, batch_format="pandas") \
-        .map_batches(to_arrow, batch_format="pandas")
+    return cogroup_map([(pts, key_col, base_schema),
+                        (flags, "key", CORE_SCHEMA),
+                        (cc, "node", LABEL_SCHEMA),
+                        (border_rows, "key", BORDER_SCHEMA)],
+                       finalize, out_schema)

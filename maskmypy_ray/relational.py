@@ -10,10 +10,10 @@ divergence between Ray partials and SQL aggregates):
 * :func:`pricing_summary` — TPC-H Q1 shape: full-scan groupby with
   per-batch partial aggregates combined by one tiny ``groupby``.
 * :func:`top_orders` — TPC-H Q3 shape: broadcast the small dimension
-  side (segment-filtered customer keys), shuffle-join the two fact
-  tables (orders x lineitem) on one coarse ``o_orderkey % P`` partition
-  pass (every row of a key lands in one partition, so the per-partition
-  merge+sum is final for that key), then a distributed sort + limit.
+  side (segment-filtered customer keys), co-group the two fact tables
+  (orders x lineitem) on the order key with ``util.cogroup_map`` (every
+  row of a key meets in one sorted block, so the per-block pyarrow
+  sum+join is final for that key), then a distributed sort + limit.
 
 Int64 headroom: charge sums carry a 1e6 scale; at ~1e7 cents/row that
 is ~1e11 per row, so a single (flag, status) group overflows int64 only
@@ -29,10 +29,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .util import cogroup_map
+
 Q1_CUTOFF_US = 1_000_000 * int(pd.Timestamp("2001-06-01").timestamp())
 Q3_SEGMENT = "BUILDING"
 Q3_CUTOFF_US = 1_000_000 * int(pd.Timestamp("2000-06-01").timestamp())
-JOIN_PARTITIONS = 64
 
 
 def _ts_us(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -121,16 +122,17 @@ def pricing_summary(lineitem_ds, cutoff_us: int = Q1_CUTOFF_US):
 
 def top_orders(lineitem_ds, orders_ds, customer_table: pa.Table,
                segment: str = Q3_SEGMENT, cutoff_us: int = Q3_CUTOFF_US,
-               k: int = 10, partitions: int = JOIN_PARTITIONS):
+               k: int = 10):
     """TPC-H Q3: top-``k`` orders by revenue for one customer segment —
     (l_orderkey, revenue, o_orderdate [epoch us], o_orderpriority).
 
     Dimension side (customers of the segment) is broadcast; the
-    orders x lineitem fact join runs as ONE coarse hash-partition
-    co-location: both sides emit rows keyed ``o_orderkey % P``, the
-    per-partition kernel hash-merges and finalizes each key's revenue
-    (all rows of a key share a partition), and a distributed
-    sort+limit yields the top k. Ties break on ascending orderkey."""
+    orders x lineitem fact join is ONE ``util.cogroup_map`` on the
+    order key: every row of a key meets in one sorted block, whose
+    kernel sums the lineitem partials per key (``group_by``) and
+    inner-joins them to the orders (``pa.Table.join``), then a
+    distributed sort+limit yields the top k. Ties break on ascending
+    orderkey."""
     import ray
 
     keys = customer_table.filter(
@@ -149,15 +151,9 @@ def top_orders(lineitem_ds, orders_ds, customer_table: pa.Table,
             hit = np.zeros(len(cust), dtype=bool)
         keep = hit & (od < cutoff_us)
         b = b.filter(pa.array(keep))
-        okey = b.column("o_orderkey").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "okey": pa.array(okey, type=pa.int64()),
-            "rev_e4": pa.array(np.zeros(len(okey), dtype=np.int64)),
-            "odate": pa.array(_ts_us(b.column("o_orderdate"))),
-            "oprio": b.column("o_orderpriority"),
-            "side": pa.array(np.zeros(len(okey), dtype=np.int8)),
-            "pk": pa.array(okey % partitions),
-        })
+        return pa.table({"okey": b.column("o_orderkey"),
+                         "odate": pa.array(_ts_us(b.column("o_orderdate"))),
+                         "oprio": b.column("o_orderpriority")})
 
     def line_rows(b: pa.Table) -> pa.Table:
         keep = _ts_us(b.column("l_shipdate")) > cutoff_us
@@ -167,32 +163,29 @@ def top_orders(lineitem_ds, orders_ds, customer_table: pa.Table,
         disc = _cents(b.column("l_discount"))
         df = pd.DataFrame({"okey": okey, "rev": ext * (100 - disc)})
         g = df.groupby("okey", sort=False, as_index=False).sum()  # combiner
-        ok = g["okey"].to_numpy(dtype=np.int64)
         return pa.table({
-            "okey": pa.array(ok),
+            "okey": pa.array(g["okey"].to_numpy(dtype=np.int64)),
             "rev_e4": pa.array(g["rev"].to_numpy(dtype=np.int64)),
-            "odate": pa.array(np.zeros(len(ok), dtype=np.int64)),
-            "oprio": pa.array([""] * len(ok), type=pa.string()),
-            "side": pa.array(np.ones(len(ok), dtype=np.int8)),
-            "pk": pa.array(ok % partitions),
         })
 
-    both = orders_ds.map_batches(order_rows, batch_format="pyarrow").union(
-        lineitem_ds.map_batches(line_rows, batch_format="pyarrow"))
+    def join_part(orders: pa.Table, lines: pa.Table) -> pa.Table:
+        rev = lines.group_by("okey").aggregate([("rev_e4", "sum")])
+        m = orders.join(rev, "okey", join_type="inner")
+        return pa.table({"l_orderkey": m.column("okey"),
+                         "revenue_e4": m.column("rev_e4_sum"),
+                         "o_orderdate": m.column("odate"),
+                         "o_orderpriority": m.column("oprio")})
 
-    def join_part(g: pd.DataFrame) -> pd.DataFrame:
-        orders = g[g["side"] == 0][["okey", "odate", "oprio"]]
-        lines = g[g["side"] == 1].groupby("okey", sort=False,
-                                          as_index=False)["rev_e4"].sum()
-        m = orders.merge(lines, on="okey", how="inner")
-        return pd.DataFrame({
-            "l_orderkey": m["okey"].to_numpy(dtype=np.int64),
-            "revenue_e4": m["rev_e4"].to_numpy(dtype=np.int64),
-            "o_orderdate": m["odate"].to_numpy(dtype=np.int64),
-            "o_orderpriority": m["oprio"].to_numpy(),
-        })
-
-    joined = both.groupby("pk").map_groups(join_part, batch_format="pandas")
+    joined = cogroup_map(
+        [(orders_ds.map_batches(order_rows, batch_format="pyarrow"), "okey",
+          pa.schema([("okey", pa.int64()), ("odate", pa.int64()),
+                     ("oprio", pa.string())])),
+         (lineitem_ds.map_batches(line_rows, batch_format="pyarrow"), "okey",
+          pa.schema([("okey", pa.int64()), ("rev_e4", pa.int64())]))],
+        join_part,
+        pa.schema([("l_orderkey", pa.int64()), ("revenue_e4", pa.int64()),
+                   ("o_orderdate", pa.int64()),
+                   ("o_orderpriority", pa.string())]))
     top = joined.sort(["revenue_e4", "l_orderkey"],
                       descending=[True, False]).limit(k)
 

@@ -17,11 +17,12 @@ union-find, no graph materialization:
   min(u, neighbours of u), every neighbour v > u is relinked to m(u);
 * a SMALL-STAR round reads every edge from its larger end: u and all
   its smaller neighbours are relinked to the smallest of them;
-* the two alternate, each ONE coarse ``groupby(u % P)`` shuffle with a
-  numpy kernel per partition. Neither round adds edges, and the pair
-  converges in O(log^2 n) rounds, O(log n) in practice: a 600-node path
-  with scrambled ids takes 19 rounds, where min-label propagation needs
-  one round per hop;
+* the two alternate, each ONE ``util.segment_map`` over u: a sort on
+  the real key, then one numpy kernel per sorted block, which holds
+  every row of each of its u values. Neither round adds edges, and
+  the pair converges in O(log^2 n) rounds, O(log n) in practice: a
+  600-node path with scrambled ids takes 19 rounds, where min-label
+  propagation needs one round per hop;
 * halt: two consecutive rounds change no edge. The edges then form a
   star forest centred on each component's minimum, and one last
   shuffle labels every node with its star centre (itself if it has no
@@ -37,14 +38,21 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
+from ..util import cogroup_map, segment_map
 
 DEFAULT_PARTITIONS = 64
 # connected_components shuffles at most one partition per this many
 # rows (see the adaptive-coarseness note there).
 ROWS_PER_PARTITION = 4096
+# every round's rows: edge (u, v) routed by u, or a node marker u == v;
+# chg flags an edge the round relinked
+STATE_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64()),
+                          ("chg", pa.int64())])
+LABEL_SCHEMA = pa.schema([("node", pa.int64()), ("cluster_id", pa.int64())])
+BEST_SCHEMA = pa.schema([("cluster_id", pa.int64()), ("doc_id", pa.int64()),
+                         ("quality_score", pa.float64())])
 
 
 def _dedupe(u: np.ndarray, v: np.ndarray):
@@ -96,46 +104,49 @@ def _small_star(u: np.ndarray, v: np.ndarray):
     return hi, lo, chg
 
 
-def _rows(u: np.ndarray, v: np.ndarray, chg: np.ndarray,
-          partitions: int) -> dict:
-    return {"u": u, "v": v, "pk": u % partitions,
-            "chg": chg.astype(np.int64)}
+def _rows(u: np.ndarray, v: np.ndarray, chg: np.ndarray) -> pa.Table:
+    return pa.table({"u": pa.array(u, type=pa.int64()),
+                     "v": pa.array(v, type=pa.int64()),
+                     "chg": pa.array(chg.astype(np.int64))})
 
 
-def _induce_part(g: dict, partitions: int) -> dict:
+def _uv(block: pa.Table):
+    return (block.column("u").to_numpy(zero_copy_only=False),
+            block.column("v").to_numpy(zero_copy_only=False))
+
+
+def _induce_part(block: pa.Table) -> pa.Table:
     """First half of the induced-subgraph filter: keep the edge rows
     whose routing end is a node and route them by their other end."""
-    u, v = _induce(g["u"], g["v"])
-    return _rows(v, u, np.zeros(len(u), dtype=bool), partitions)
+    u, v = _induce(*_uv(block))
+    return _rows(v, u, np.zeros(len(u), dtype=bool))
 
 
-def _star_part(g: dict, large: bool, induce: bool,
-               partitions: int) -> dict:
-    """ONE large- or small-star round over one coarse partition; the
-    output is routed for the other kind of round. Large-star output
-    goes by its larger end (small-star reads each edge there);
-    small-star output goes both ways (large-star reads each edge from
-    both ends). ``induce`` finishes the induced-subgraph filter on the
-    first round. Every step is per-node and deterministic, so the
-    result of every round is independent of the partition count."""
-    u, v = g["u"], g["v"]
+def _star_part(block: pa.Table, large: bool, induce: bool) -> pa.Table:
+    """ONE large- or small-star round over one sorted block (every row
+    of a u in it); the output is routed for the other kind of round.
+    Large-star output goes by its larger end (small-star reads each
+    edge there); small-star output goes both ways (large-star reads
+    each edge from both ends). ``induce`` finishes the induced-subgraph
+    filter on the first round. Every step is per-node and
+    deterministic, so the result of every round is independent of the
+    block and partition counts."""
+    u, v = _uv(block)
     if induce:
         u, v = _induce(u, v)
     if large:
-        hi, lo, chg = _large_star(u, v)
-        return _rows(hi, lo, chg, partitions)
+        return _rows(*_large_star(u, v))
     hi, lo, chg = _small_star(u, v)
     return _rows(np.concatenate([hi, lo]), np.concatenate([lo, hi]),
-                 np.concatenate([chg, np.zeros(len(chg), dtype=bool)]),
-                 partitions)
+                 np.concatenate([chg, np.zeros(len(chg), dtype=bool)]))
 
 
-def _label_part(g: dict) -> dict:
+def _label_part(block: pa.Table) -> pa.Table:
     """Label every node marker with its star centre: the min of the
     node and its neighbours (a leaf's one neighbour is the centre; a
     centre's neighbours are all larger; a node without an edge keeps
     its own id)."""
-    u, v = g["u"], g["v"]
+    u, v = _uv(block)
     mark = u == v
     node = u[mark]
     eu, ev, first = _dedupe(u[~mark], v[~mark])
@@ -145,7 +156,7 @@ def _label_part(g: dict) -> dict:
     hit[hit] = eu[pos[hit]] == node[hit]
     cluster = node.copy()
     cluster[hit] = np.minimum(node[hit], emin[pos[hit]])
-    return {"node": node, "cluster_id": cluster}
+    return pa.table({"node": node, "cluster_id": cluster})
 
 
 def connected_components(nodes_ds, edges_ds, node_col: str = "node",
@@ -157,26 +168,27 @@ def connected_components(nodes_ds, edges_ds, node_col: str = "node",
     subgraph induced by ``nodes_ds`` (edges with an end outside it are
     ignored). One output row per input node row.
 
-    Alternating large-star/small-star rounds, each ONE coarse shuffle
-    (``groupby(u % P)``) with a numpy kernel per partition — no
-    fine-key ``groupby(node)`` (Ray's per-group apply costs ~0.4 ms on
-    ~1-row groups). ``max_rounds`` counts large- and small-star rounds
-    alike; past it a ``RuntimeError`` reports the changed-edge count of
-    every round. Labels are int64-exact at any magnitude (sorts and
-    searchsorted only, no NaN-filling merge), and the result is
-    independent of the partition count."""
+    Alternating large-star/small-star rounds, each ONE
+    ``segment_map(state, "u", ...)``: a sort on u, then a whole-block
+    numpy kernel, so no per-group Python call (Ray's per-group apply
+    costs ~0.4 ms on ~1-row groups) and every block is typed pyarrow.
+    ``max_rounds`` counts large- and small-star rounds alike; past it
+    a ``RuntimeError`` reports the changed-edge count of every round.
+    Labels are int64-exact at any magnitude (sorts and searchsorted
+    only, no NaN-filling merge), and the result is independent of the
+    partition count."""
     def to_sym(b: pa.Table) -> pa.Table:
         a = b.column(a_col).to_numpy(zero_copy_only=False).astype(np.int64)
         bb = b.column(b_col).to_numpy(zero_copy_only=False).astype(np.int64)
         loop = a == bb  # a self-loop joins nothing (and u == v marks nodes)
         a, bb = a[~loop], bb[~loop]
-        return pa.table({"u": np.concatenate([a, bb]),
-                         "v": np.concatenate([bb, a])})
+        return _rows(np.concatenate([a, bb]), np.concatenate([bb, a]),
+                     np.zeros(2 * len(a), dtype=bool))
 
     def to_marks(b: pa.Table) -> pa.Table:
         n = b.column(node_col).to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        return pa.table({"u": n, "v": n})
+        return _rows(n, n, np.zeros(len(n), dtype=bool))
 
     sym0 = edges_ds.map_batches(to_sym, batch_format="pyarrow").materialize()
     marks0 = nodes_ds.map_batches(to_marks,
@@ -195,30 +207,20 @@ def connected_components(nodes_ds, edges_ds, node_col: str = "node",
     partitions = min(partitions, max(
         4, (n_edges + marks0.count()) // ROWS_PER_PARTITION + 1))
 
-    def add_pk(b: pa.Table) -> pa.Table:
-        u = b.column("u").to_numpy(zero_copy_only=False)
-        return pa.table({"u": b.column("u"), "v": b.column("v"),
-                         "pk": pa.array(u % partitions),
-                         "chg": pa.array(np.zeros(len(u), dtype=np.int64))})
-
     # node markers feed the first round and the final labels
-    marks = marks0.repartition(partitions) \
-        .map_batches(add_pk, batch_format="pyarrow").materialize()
+    marks = marks0.repartition(partitions).materialize()
     state = marks
     if n_edges:
-        sym = sym0.repartition(partitions) \
-            .map_batches(add_pk, batch_format="pyarrow")
         # lazy: runs inside round 0's execution
-        state = marks.union(sym).groupby("pk").map_groups(
-            partial(_induce_part, partitions=partitions),
-            batch_format="numpy")
+        state = segment_map(marks.union(sym0.repartition(partitions)), "u",
+                            _induce_part, STATE_SCHEMA)
         changed = []
         for rnd in range(max_rounds):
             inp = marks.union(state) if rnd == 0 else state
-            state = inp.groupby("pk").map_groups(
-                partial(_star_part, large=rnd % 2 == 0, induce=rnd == 0,
-                        partitions=partitions),
-                batch_format="numpy").repartition(partitions).materialize()
+            state = segment_map(
+                inp, "u", partial(_star_part, large=rnd % 2 == 0,
+                                  induce=rnd == 0),
+                STATE_SCHEMA).repartition(partitions).materialize()
             changed.append(int(state.sum("chg") or 0))
             if rnd and changed[-1] == changed[-2] == 0:
                 break
@@ -228,8 +230,7 @@ def connected_components(nodes_ds, edges_ds, node_col: str = "node",
                 f"rounds; changed edges per round: {changed}")
         state = marks.union(state)
 
-    return state.groupby("pk").map_groups(_label_part,
-                                          batch_format="numpy") \
+    return segment_map(state, "u", _label_part, LABEL_SCHEMA) \
         .repartition(partitions)
 
 
@@ -263,8 +264,7 @@ def duplicate_clusters(ds, threshold: float = 0.8, ngram: int = 5,
         corpus.map_batches(nodes, batch_format="pyarrow"), edges)
 
 
-def cluster_best_survivors(clusters_ds, quality_ds,
-                           partitions: int = DEFAULT_PARTITIONS):
+def cluster_best_survivors(clusters_ds, quality_ds):
     """Quality-aware near-dup survivor choice: for every duplicate
     cluster keep the HIGHEST-quality member (ties: min doc_id) — the
     production alternative to min-id survivorship when a quality score
@@ -272,77 +272,34 @@ def cluster_best_survivors(clusters_ds, quality_ds,
 
     Inputs: ``clusters_ds`` = (node, cluster_id) from
     :func:`duplicate_clusters`; ``quality_ds`` = (doc_id,
-    quality_score). Scale shape: one coarse ``doc_id % P`` partition
-    join attaches the score to each member (both sides shuffled ONCE on
-    the shared key), then one coarse ``cluster_id % P`` partition holds
-    every member of a cluster and picks the argmax with a single
-    vectorized lexsort per partition — no per-cluster Python, no
+    quality_score). Scale shape: one ``util.cogroup_map`` on the doc id
+    attaches the score to each member (a pyarrow inner join per sorted
+    block), then one ``util.segment_map`` on ``cluster_id`` holds every
+    member of a cluster in one block and picks the argmax with a
+    single vectorized lexsort per block — no per-cluster Python, no
     driver-side state.
 
     Returns (cluster_id, doc_id, quality_score) — one row per cluster.
     """
+    def join_part(nodes: pa.Table, quality: pa.Table) -> pa.Table:
+        j = nodes.join(quality, "node", "doc_id", join_type="inner")
+        return pa.table({"cluster_id": j.column("cluster_id"),
+                         "doc_id": j.column("node"),
+                         "quality_score": j.column("quality_score")})
 
-    def nodes_pk(b: pa.Table) -> pa.Table:
-        n = b.column("node").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "key": b.column("node"),
-            "cluster_id": b.column("cluster_id"),
-            "quality_score": pa.array(np.full(len(n), np.nan)),
-            "side": pa.array(np.zeros(len(n), dtype=np.int64)),
-            "pk": pa.array(n % partitions),
-        })
-
-    def quality_pk(b: pa.Table) -> pa.Table:
-        d = b.column("doc_id").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "key": b.column("doc_id"),
-            "cluster_id": pa.array(np.zeros(len(d), dtype=np.int64)),
-            "quality_score": b.column("quality_score"),
-            "side": pa.array(np.ones(len(d), dtype=np.int64)),
-            "pk": pa.array(d % partitions),
-        })
-
-    def join_part(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["side"] == 0]
-        right = g[g["side"] == 1]
-        m = left.merge(
-            right[["key", "quality_score"]].rename(
-                columns={"quality_score": "q"}),
-            on="key", how="inner")
-        return pd.DataFrame({
-            "cluster_id": m["cluster_id"].to_numpy(dtype=np.int64),
-            "doc_id": m["key"].to_numpy(dtype=np.int64),
-            "quality_score": m["q"].to_numpy(dtype=np.float64),
-        })
-
-    joined = clusters_ds.map_batches(nodes_pk, batch_format="pyarrow") \
-        .union(quality_ds.map_batches(quality_pk, batch_format="pyarrow")) \
-        .repartition(32) \
-        .groupby("pk").map_groups(join_part, batch_format="pandas")
-
-    def ck(b: pa.Table) -> pa.Table:
+    def best_part(b: pa.Table) -> pa.Table:
+        # argmax quality, ties min doc_id: one lexsort, keep the first
+        # row of each cluster
         c = b.column("cluster_id").to_numpy(zero_copy_only=False)
-        return b.append_column("ck", pa.array(c % partitions))
+        order = np.lexsort((
+            b.column("doc_id").to_numpy(zero_copy_only=False),
+            -b.column("quality_score").to_numpy(zero_copy_only=False), c))
+        first = np.r_[True, c[order][1:] != c[order][:-1]]
+        return b.take(pa.array(order[first]))
 
-    def best_part(g: pd.DataFrame) -> pa.Table:
-        # argmax quality, ties min doc_id: one lexsort, keep first row
-        # per cluster
-        order = np.lexsort((g["doc_id"].to_numpy(),
-                            -g["quality_score"].to_numpy()))
-        s = g.iloc[order]
-        keep = ~s["cluster_id"].duplicated().to_numpy()
-        k = s[keep]
-        return pa.table({
-            "cluster_id": pa.array(k["cluster_id"].to_numpy(np.int64)),
-            "doc_id": pa.array(k["doc_id"].to_numpy(np.int64)),
-            "quality_score": pa.array(
-                k["quality_score"].to_numpy(np.float64)),
-        })
-
-    def norm(b) -> pa.Table:
-        return b if isinstance(b, pa.Table) else pa.Table.from_pandas(
-            b, preserve_index=False)
-
-    return joined.map_batches(norm, batch_format="pyarrow") \
-        .map_batches(ck, batch_format="pyarrow") \
-        .groupby("ck").map_groups(best_part, batch_format="pandas")
+    joined = cogroup_map(
+        [(clusters_ds, "node", LABEL_SCHEMA),
+         (quality_ds, "doc_id", pa.schema([("doc_id", pa.int64()),
+                                           ("quality_score", pa.float64())]))],
+        join_part, BEST_SCHEMA)
+    return segment_map(joined, "cluster_id", best_part, BEST_SCHEMA)

@@ -19,13 +19,14 @@ The fixture corpus is enriched deterministically
 mutated copies (text + ' zz9', ids +1M, every 10th doc) and exact
 copies (identical text, ids +2M, every 17th doc).
 
-Scale notes: stage flags are per-batch; exact dedup and the near-dup
-label attach are coarse hash-partition kernels; the LSH/cluster stage
-is the banded `minhash_lsh_pairs` + `connected_components`
-composition; decontamination probes a broadcast gram set. The chained
-branches re-derive their upstream lazily (no full-corpus
-materialization); the per-stage survivor filter is the only thing that
-flows forward.
+Scale notes: stage flags are per-batch; exact dedup is a coarse
+hash-partition kernel; the near-dup label attach is one
+``util.cogroup_map`` on the doc id (a pyarrow left join per sorted
+block); the LSH/cluster stage is the banded `minhash_lsh_pairs` +
+`connected_components` composition; decontamination probes a
+broadcast gram set. The chained branches re-derive their upstream
+lazily (no full-corpus materialization); the per-stage survivor filter
+is the only thing that flows forward.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from hashlib import md5
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ..util import cogroup_map
 from .quality import quality_filter_batch
 
 NEAR_EVERY = 10
@@ -88,8 +91,11 @@ def _status_table(ids: np.ndarray, status) -> pa.Table:
 def curate_corpus(ds, threshold: float = 0.8, partitions: int = 64,
                   text_col: str = "text"):
     """Run the full curation chain -> Dataset[(doc_id, status)] with
-    exactly one row per doc of the enriched corpus."""
-    from .clusters import connected_components
+    exactly one row per doc of the enriched corpus. ``partitions``
+    bounds the exact-dedup hash partitions; the near-dup stage attaches
+    each survivor's cluster label with ``util.cogroup_map`` keyed on
+    the doc id, so it has no partition count of its own."""
+    from .clusters import LABEL_SCHEMA, connected_components
     from .corpus import decontaminate
     from .dedup import minhash_lsh_pairs
 
@@ -155,10 +161,10 @@ def curate_corpus(ds, threshold: float = 0.8, partitions: int = 64,
         .select_columns(["doc_id", text_col]).materialize()
 
     # ---- stage 3: near-dup cluster dedup among exact survivors ---------
-    # s2 is materialized, so its count is free — clamp every downstream
-    # shuffle's coarseness to the survivor count (in-blocks x
-    # out-partitions object-cost rule); all three kernels are
-    # partition-count independent.
+    # s2 is materialized, so its count is free — clamp the LSH
+    # shuffles' coarseness to the survivor count (in-blocks x
+    # out-partitions object-cost rule); both are partition-count
+    # independent.
     n2 = s2.count()
     edges = minhash_lsh_pairs(
         s2, threshold=threshold,
@@ -169,49 +175,21 @@ def curate_corpus(ds, threshold: float = 0.8, partitions: int = 64,
         batch_format="pyarrow")
     cc = connected_components(nodes, edges)
 
-    attach_parts = min(partitions, max(4, n2 // 4096 + 1))
-
-    def cc_route(b: pa.Table) -> pa.Table:
-        n = b.column("node").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "doc_id": pa.array(n, type=pa.int64()),
-            text_col: pa.array([""] * len(n), type=pa.string()),
-            "cluster": b.column("cluster_id"),
-            "p": pa.array(n % attach_parts, type=pa.int64()),
-        })
-
-    def s2_route(b: pa.Table) -> pa.Table:
-        n = b.column("doc_id").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "doc_id": b.column("doc_id"), text_col: b.column(text_col),
-            "cluster": pa.array(np.full(len(n), -1, dtype=np.int64)),
-            "p": pa.array(n % attach_parts, type=pa.int64()),
-        })
-
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        rows = g[g["cluster"] == -1][["doc_id", text_col]]
-        lab = g[g["cluster"] != -1][["doc_id", "cluster"]]
-        j = rows.merge(lab, on="doc_id", how="left")
-        cl = j["cluster"].to_numpy()
-        ids = j["doc_id"].to_numpy(dtype=np.int64)
+    def attach(rows: pa.Table, lab: pa.Table) -> pa.Table:
+        j = rows.join(lab, "doc_id", "node")
+        cl = j.column("cluster_id")
         # isolated nodes keep their own id as cluster
-        is_min = pd.isna(cl) | (cl == ids)
-        return pd.DataFrame({"doc_id": ids,
-                             text_col: j[text_col].to_numpy(dtype=object),
-                             "is_min": is_min.astype(np.int64)})
+        is_min = pc.fill_null(pc.equal(cl, j.column("doc_id")), True)
+        return pa.table({"doc_id": j.column("doc_id"),
+                         text_col: j.column(text_col),
+                         "is_min": pc.cast(is_min, pa.int64())})
 
-    def attach_arrow(d: pd.DataFrame) -> pa.Table:
-        return pa.table({
-            "doc_id": pa.array(d["doc_id"].to_numpy(), type=pa.int64()),
-            text_col: pa.array(d[text_col].to_numpy(dtype=object),
-                               type=pa.string()),
-            "is_min": pa.array(d["is_min"].to_numpy(), type=pa.int64()),
-        })
-
-    labeled = s2.map_batches(s2_route, batch_format="pyarrow") \
-        .union(cc.map_batches(cc_route, batch_format="pyarrow")) \
-        .groupby("p").map_groups(attach, batch_format="pandas") \
-        .map_batches(attach_arrow, batch_format="pandas").materialize()
+    labeled = cogroup_map(
+        [(s2, "doc_id", pa.schema([("doc_id", pa.int64()),
+                                   (text_col, pa.string())])),
+         (cc, "node", LABEL_SCHEMA)],
+        attach, pa.schema([("doc_id", pa.int64()), (text_col, pa.string()),
+                           ("is_min", pa.int64())])).materialize()
     # ^ checkpoint above the is_min split for the same reason as
     # `exact` above; also feeds the benchmark slice, the
     # decontamination probe AND the broadcast gram compile below.

@@ -13,12 +13,16 @@ graph is projected to hosts.
 
 Scale shape:
 
-* **Edge-host resolution** is TWO coarse hash-partition joins (the
-  fact-fact pattern from ``relational.py``): link rows routed by
-  ``dst_doc % P`` meet ``(doc_id, host)`` rows routed by
-  ``doc_id % P``; the half-resolved edges re-route by ``src_doc % P``
-  to meet the host rows again. The corpus-sized doc→host map is never
+* **Edge-host resolution** is ONE keyed join: a link row is emitted by
+  its source page, so it already carries src_host; link rows keyed by
+  dst doc and ``(doc_id, host)`` rows keyed by their own doc_id form
+  one tagged dataset, and one ``util.segment_map`` on that key joins
+  them per sorted block. The corpus-sized doc→host map is never
   broadcast and never visits the driver.
+* **Multi-side merges** (the host-component labels, triangle
+  orientation, the closing probe and the per-host assembly) are
+  ``util.cogroup_map`` calls: every row of a key, from every side,
+  meets in one pyarrow kernel, so 63-bit host hashes stay int64.
 * **The host graph is aggregated per src-partition** (every edge of a
   src host lands in one ``hash(src) % P`` partition, so weights AND
   out-degrees are exact with one vectorized pandas kernel) and
@@ -42,6 +46,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..util import cogroup_map, segment_map
 
 LINKS_PER_DOC = 3
 RANK_SCALE = 10**12
@@ -63,10 +70,13 @@ def _host_of_url(batch: pa.Table) -> np.ndarray:
 
 def _host_edges(pages_ds, n_docs: int, links: int, partitions: int):
     """Dataset[(src, dst, w, ow)] — the aggregated host graph with
-    exact per-src out-degrees. ONE coarse partition join (a link row
-    originates from its src page, so it carries src_host locally; only
-    the dst side needs the doc→host resolution) — the corpus-sized
-    doc→host map is never broadcast and never visits the driver."""
+    exact per-src out-degrees. ONE keyed join (a link row originates
+    from its src page, so it carries src_host locally; only the dst
+    side needs the doc→host resolution): link rows keyed by dst doc and
+    host rows keyed by their own doc_id form one tagged dataset, and
+    one ``segment_map`` on that key joins them per sorted block — the
+    corpus-sized doc→host map is never broadcast and never visits the
+    driver."""
 
     def tag_rows(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_numpy(zero_copy_only=False)
@@ -83,32 +93,31 @@ def _host_edges(pages_ds, n_docs: int, links: int, partitions: int):
             key.append(dst[keep])
             hh.append(hosts[keep])
             tag.append(np.zeros(int(keep.sum()), dtype=np.int8))
-        key = np.concatenate(key)
         return pa.table({
-            "key": pa.array(key, type=pa.int64()),
+            "key": pa.array(np.concatenate(key), type=pa.int64()),
             "host": pa.array(np.concatenate(hh), type=pa.string()),
             "is_host": pa.array(np.concatenate(tag)),
-            "p": pa.array(key % partitions),
         })
 
     tagged = pages_ds.select_columns(["doc_id", "url"]) \
         .map_batches(tag_rows, batch_format="pyarrow")
 
-    def resolve_dst(g: pd.DataFrame) -> pd.DataFrame:
-        hosts = g.loc[g["is_host"] == 1, ["key", "host"]] \
-            .rename(columns={"host": "dst_host"})
-        lnk = g.loc[g["is_host"] == 0, ["key", "host"]] \
-            .rename(columns={"host": "src_host"})
-        m = lnk.merge(hosts, on="key", how="inner")
-        src = m["src_host"].to_numpy(dtype=object)
+    def resolve_dst(b: pa.Table) -> pa.Table:
+        is_host = pc.equal(b.column("is_host"), 1)
+        hosts = b.filter(is_host).select(["key", "host"]) \
+            .rename_columns(["key", "dst"])
+        lnk = b.filter(pc.invert(is_host)).select(["key", "host"]) \
+            .rename_columns(["key", "src"])
+        m = lnk.join(hosts, "key", join_type="inner")
+        src = m.column("src").to_numpy(zero_copy_only=False)
         codes = pd.util.hash_array(src.astype("U")).astype(np.int64)
-        return pd.DataFrame({
-            "src": src, "dst": m["dst_host"],
-            "pq": np.abs(codes) % partitions,
-        })
+        return pa.table({"src": m.column("src"), "dst": m.column("dst"),
+                         "pq": pa.array(np.abs(codes) % partitions)})
 
-    edges = tagged.repartition(32) \
-        .groupby("p").map_groups(resolve_dst, batch_format="pandas")
+    edges = segment_map(tagged.repartition(32), "key", resolve_dst,
+                        pa.schema([("src", pa.string()),
+                                   ("dst", pa.string()),
+                                   ("pq", pa.int64())]))
 
     def agg_part(g: pd.DataFrame) -> pd.DataFrame:
         """Weights per (src, dst) + exact out-degree per src — all of a
@@ -217,6 +226,13 @@ def host_rank(pages_ds, iters: int = RANK_ITERS,
 # ---------------------------------------------------------------------------
 
 _H63 = (1 << 63) - 1
+NODE_SCHEMA = pa.schema([("node", pa.int64())])
+DEG_SCHEMA = pa.schema([("node", pa.int64()), ("deg", pa.int64())])
+EDGE_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+EDGE_DA_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                            ("da", pa.int64())])
+ORIENTED_SCHEMA = pa.schema([(c, pa.int64()) for c in ("u", "v", "du", "dv")])
+WEDGE_SCHEMA = pa.schema([(c, pa.int64()) for c in ("x", "y", "z")])
 
 
 def _hash63(hosts) -> np.ndarray:
@@ -239,11 +255,12 @@ def host_components(pages_ds, links: int = LINKS_PER_DOC,
 
     Scale shape: hosts enter the large-star/small-star rounds
     (:func:`maskmypy_ray.text.clusters.connected_components` — one
-    coarse shuffle per round over the edge set) as content
+    sort on the real key per round over the edge set) as content
     hashes, so no driver-side host dictionary exists at any point; the
-    final hash->host attachment is one coarse partition merge over the
-    (host, hash) map rows."""
-    from .clusters import connected_components
+    final hash->host attachment is one ``util.cogroup_map`` on the
+    63-bit hash over the (host, hash) map rows and the labels, a
+    pyarrow inner join per sorted block, so the hashes stay int64."""
+    from .clusters import LABEL_SCHEMA, connected_components
 
     n_docs = pages_ds.count()
     edges = _host_edges(pages_ds, n_docs, links, partitions)
@@ -287,51 +304,17 @@ def host_components(pages_ds, links: int = LINKS_PER_DOC,
         batch_format="pyarrow")
     cc = connected_components(nodes, eid, node_col="node")
 
-    def cc_part(b: pa.Table) -> pa.Table:
-        n = b.column("node").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "node": b.column("node"),
-            "cluster_id": b.column("cluster_id"),
-            "p": pa.array(n % partitions),
-        })
+    def attach(m: pa.Table, c: pa.Table) -> pa.Table:
+        j = m.join(c, "node", join_type="inner")
+        return pa.table({"host": j.column("host"),
+                         "component": j.column("cluster_id")})
 
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        # sentinel -1 tags the map side: a nullable column would force
-        # pandas to float64 and silently round the int63 hash labels
-        m = g[g["cluster_id"] == -1][["node", "host"]]
-        c = g[g["cluster_id"] != -1][["node", "cluster_id"]]
-        j = m.merge(c, on="node", how="inner")
-        return pd.DataFrame({
-            "host": j["host"].to_numpy(),
-            "component": j["cluster_id"].to_numpy().astype(np.int64),
-        })
-
-    side_m = uniq.map_batches(
-        lambda b: pa.table({
-            "node": b.column("node"),
-            "host": b.column("host"),
-            "cluster_id": pa.array([-1] * len(b), type=pa.int64()),
-            "p": b.column("p"),
-        }), batch_format="pyarrow")
-    side_c = cc.map_batches(cc_part, batch_format="pyarrow").map_batches(
-        lambda b: pa.table({
-            "node": b.column("node"),
-            "host": pa.array([""] * len(b), type=pa.string()),
-            "cluster_id": b.column("cluster_id"),
-            "p": b.column("p"),
-        }), batch_format="pyarrow")
-
-    def to_arrow(d: pd.DataFrame) -> pa.Table:
-        return pa.table({
-            "host": pa.array(d["host"].to_numpy(dtype=object),
-                             type=pa.string()),
-            "component": pa.array(d["component"].to_numpy(),
-                                  type=pa.int64()),
-        })
-
-    return side_m.union(side_c).groupby("p") \
-        .map_groups(attach, batch_format="pandas") \
-        .map_batches(to_arrow, batch_format="pandas")
+    return cogroup_map(
+        [(uniq, "node", pa.schema([("node", pa.int64()),
+                                   ("host", pa.string())])),
+         (cc, "node", LABEL_SCHEMA)],
+        attach, pa.schema([("host", pa.string()),
+                           ("component", pa.int64())]))
 
 
 def host_degrees(pages_ds, links: int = LINKS_PER_DOC,
@@ -431,14 +414,19 @@ def host_triangles(pages_ds, links: int = LINKS_PER_DOC,
 
     1. canonical simple edges: one coarse pair-hash partition dedup;
     2. degrees: endpoint explode + per-node-partition counts;
-    3. orientation: two coarse partition merges attach (deg_a, deg_b),
-       each edge points from the lexicographically smaller (deg, id);
+    3. orientation: two ``util.cogroup_map`` joins with the degree
+       rows (keyed on a, then on b) attach (deg_a, deg_b); each edge
+       points from the lexicographically smaller (deg, id);
     4. wedges: out-neighbor pairs per source, emitted ordered by the
-       same total order, routed by the (v XOR w) pair hash;
-    5. closing probe: one partition merge of wedges against oriented
-       edges — a match is a triangle, counted on all 3 members;
-    6. final: host map + degree + triangle counts meet in one fused
-       node-partition merge. Nothing visits the driver at any size.
+       same total order;
+    5. closing probe: one ``cogroup_map`` of the wedges (x; y, z),
+       keyed on y, with the oriented edges, keyed on their source u —
+       a wedge whose edge y -> z exists is a triangle, counted on all
+       3 members;
+    6. final: host map + degree + triangle counts meet in one
+       ``cogroup_map`` on the node hash, a pyarrow join per sorted
+       block (int64 throughout). Nothing visits the driver at any
+       size.
     """
     n_docs = pages_ds.count()
     edges = _host_edges(pages_ds, n_docs, links, partitions)
@@ -507,78 +495,29 @@ def host_triangles(pages_ds, links: int = LINKS_PER_DOC,
             "deg": pa.array(d["deg"].to_numpy(dtype="int64"))}),
             batch_format="pandas").materialize()
 
-    # -- 3. orientation: attach deg to both ends (two partition merges) ----
-    def side(ds_in, cols, route_col):
-        def fn(b: pa.Table) -> pa.Table:
-            k = b.column(route_col).to_numpy(zero_copy_only=False)
-            out = {c: b.column(src) for c, src in cols.items()}
-            out["mp"] = pa.array(k % partitions, type=pa.int64())
-            return pa.table(out)
-        return ds_in.map_batches(fn, batch_format="pyarrow")
+    # -- 3. orientation: attach deg to both ends (two keyed joins) ---------
+    deg_side = (deg, "node", DEG_SCHEMA)
 
-    dside = side(deg, {"node": "node", "deg": "deg"}, "node")
+    def attach_da(e: pa.Table, d: pa.Table) -> pa.Table:
+        j = e.join(d, "a", "node", join_type="inner")
+        return pa.table({"a": j.column("a"), "b": j.column("b"),
+                         "da": j.column("deg")})
 
-    e1 = side(uedges, {"a": "a", "b": "b"}, "a")
+    ed_a = cogroup_map([(uedges, "a", EDGE_SCHEMA), deg_side], attach_da,
+                       EDGE_DA_SCHEMA)
 
-    def attach_da(g: pd.DataFrame) -> pd.DataFrame:
-        dd = g.loc[g["tag"] == 1, ["node", "deg"]]
-        ee = g.loc[g["tag"] == 0, ["a", "b"]]
-        j = ee.merge(dd, left_on="a", right_on="node", how="inner")
-        return pd.DataFrame({"a": j["a"].to_numpy(dtype="int64"),
-                             "b": j["b"].to_numpy(dtype="int64"),
-                             "da": j["deg"].to_numpy(dtype="int64")})
-
-    # union trick: -1 SENTINELS for the absent columns, never nulls —
-    # a nullable int64 forces pandas to float64 and silently rounds
-    # the 63-bit node hashes (same rule as host_components' attach).
-    # Fixed column order so the two union sides share one schema.
-    def pad(b: pa.Table, order: list, tag: int) -> pa.Table:
-        n = len(b)
-        cols = {}
-        for c in order:
-            cols[c] = (b.column(c) if c in b.column_names
-                       else pa.array(np.full(n, -1, dtype=np.int64)))
-        cols["tag"] = pa.array(np.full(n, tag, dtype=np.int64))
-        return pa.table(cols)
-
-    _ORD1 = ["a", "b", "node", "deg", "mp"]
-    e1p = e1.map_batches(lambda b: pad(b, _ORD1, 0),
-                         batch_format="pyarrow")
-    d1p = dside.map_batches(lambda b: pad(b, _ORD1, 1),
-                            batch_format="pyarrow")
-    ed_a = e1p.union(d1p).groupby("mp") \
-        .map_groups(attach_da, batch_format="pandas") \
-        .map_batches(lambda d: pa.table({
-            c: pa.array(d[c].to_numpy(dtype="int64"))
-            for c in ("a", "b", "da")}), batch_format="pandas")
-
-    e2 = side(ed_a, {"a": "a", "b": "b", "da": "da"}, "b")
-
-    def attach_db_orient(g: pd.DataFrame) -> pd.DataFrame:
-        dd = g.loc[g["tag"] == 1, ["node", "deg"]]
-        ee = g.loc[g["tag"] == 0, ["a", "b", "da"]]
-        j = ee.merge(dd, left_on="b", right_on="node", how="inner")
-        a = j["a"].to_numpy(dtype="int64")
-        b = j["b"].to_numpy(dtype="int64")
-        da = j["da"].to_numpy(dtype="int64")
-        db = j["deg"].to_numpy(dtype="int64")
+    def attach_db_orient(e: pa.Table, d: pa.Table) -> pa.Table:
+        j = e.join(d, "b", "node", join_type="inner")
+        a, b, da, db = (j.column(c).to_numpy(zero_copy_only=False)
+                        for c in ("a", "b", "da", "deg"))
         fwd = (da < db) | ((da == db) & (a < b))  # (deg, id) lex order
-        return pd.DataFrame({
+        return pa.table({
             "u": np.where(fwd, a, b), "v": np.where(fwd, b, a),
             "du": np.where(fwd, da, db), "dv": np.where(fwd, db, da)})
 
-    _ORD2 = ["a", "b", "da", "node", "deg", "mp"]
-    e2p = e2.map_batches(lambda b: pad(b, _ORD2, 0),
-                         batch_format="pyarrow")
-    d2p = dside.map_batches(lambda b: pad(b, _ORD2, 1),
-                            batch_format="pyarrow")
     # bounded checkpoint (|E| rows); 2 consumers: wedges + closing probe
-    oriented = e2p.union(d2p).groupby("mp") \
-        .map_groups(attach_db_orient, batch_format="pandas") \
-        .map_batches(lambda d: pa.table({
-            c: pa.array(d[c].to_numpy(dtype="int64"))
-            for c in ("u", "v", "du", "dv")}),
-            batch_format="pandas").materialize()
+    oriented = cogroup_map([(ed_a, "b", EDGE_DA_SCHEMA), deg_side],
+                           attach_db_orient, ORIENTED_SCHEMA).materialize()
 
     # -- 4. wedges per source, ordered by the same (deg, id) total order ---
     def route_u(b: pa.Table) -> pa.Table:
@@ -615,94 +554,36 @@ def host_triangles(pages_ds, links: int = LINKS_PER_DOC,
             for c in ("x", "y", "z")}), batch_format="pandas")
 
     # -- 5. closing-edge probe: triangles ----------------------------------
-    def wedge_rows(b: pa.Table) -> pa.Table:
-        y = b.column("y").to_numpy(zero_copy_only=False)
-        z = b.column("z").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "x": b.column("x"), "y": b.column("y"), "z": b.column("z"),
-            "is_edge": pa.array(np.zeros(len(b), dtype=np.int64)),
-            "cp": pa.array((y ^ z) % partitions, type=pa.int64())})
+    # a wedge (x; y, z) closes iff the oriented edge y -> z exists, so
+    # wedges keyed by y meet the edges keyed by their source u
+    def close_part(w: pa.Table, e: pa.Table) -> pa.Table:
+        j = w.join(e, ["y", "z"], ["u", "v"], join_type="inner")
+        return pa.table({"node": pa.concat_arrays(
+            [j.column(c).combine_chunks() for c in ("x", "y", "z")])})
 
-    def edge_rows(b: pa.Table) -> pa.Table:
-        u = b.column("u").to_numpy(zero_copy_only=False)
-        v = b.column("v").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "x": pa.array(np.zeros(len(b), dtype=np.int64)),
-            "y": b.column("u"), "z": b.column("v"),
-            "is_edge": pa.array(np.ones(len(b), dtype=np.int64)),
-            "cp": pa.array((u ^ v) % partitions, type=pa.int64())})
+    members = cogroup_map(
+        [(wedges, "y", WEDGE_SCHEMA),
+         (oriented, "u", pa.schema([("u", pa.int64()), ("v", pa.int64())]))],
+        close_part, NODE_SCHEMA)
 
-    def close_part(g: pd.DataFrame) -> pd.DataFrame:
-        ee = g.loc[g["is_edge"] == 1, ["y", "z"]]
-        ww = g.loc[g["is_edge"] == 0, ["x", "y", "z"]]
-        j = ww.merge(ee, on=["y", "z"], how="inner")
-        n = np.concatenate([j["x"].to_numpy(dtype="int64"),
-                            j["y"].to_numpy(dtype="int64"),
-                            j["z"].to_numpy(dtype="int64")])
-        return pd.DataFrame({"node": n})
-
-    members = wedges.map_batches(wedge_rows, batch_format="pyarrow") \
-        .union(oriented.map_batches(edge_rows, batch_format="pyarrow")) \
-        .groupby("cp").map_groups(close_part, batch_format="pandas") \
-        .map_batches(lambda d: pa.table({
-            "node": pa.array(d["node"].to_numpy(dtype="int64"))}),
-            batch_format="pandas")
-
-    # -- 6. final fused merge: host map + deg + triangle counts ------------
-    def tri_rows(b: pa.Table) -> pa.Table:
-        n = b.column("node").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "node": b.column("node"),
-            "host": pa.array([""] * len(b), type=pa.string()),
-            "kind": pa.array(np.full(len(b), 2, dtype=np.int64)),
-            "val": pa.array(np.ones(len(b), dtype=np.int64)),
-            "fp": pa.array(n % partitions, type=pa.int64())})
-
-    def deg_rows(b: pa.Table) -> pa.Table:
-        n = b.column("node").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "node": b.column("node"),
-            "host": pa.array([""] * len(b), type=pa.string()),
-            "kind": pa.array(np.ones(len(b), dtype=np.int64)),
-            "val": b.column("deg"),
-            "fp": pa.array(n % partitions, type=pa.int64())})
-
-    def map_rows(b: pa.Table) -> pa.Table:
-        n = b.column("node").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "node": b.column("node"),
-            "host": b.column("host"),
-            "kind": pa.array(np.zeros(len(b), dtype=np.int64)),
-            "val": pa.array(np.zeros(len(b), dtype=np.int64)),
-            "fp": pa.array(n % partitions, type=pa.int64())})
-
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.loc[g["kind"] == 0, ["node", "host"]] \
-            .sort_values(["node", "host"], kind="mergesort") \
-            .drop_duplicates("node")
-        dd = g.loc[g["kind"] == 1, ["node", "val"]] \
-            .rename(columns={"val": "deg"})
-        tc = g.loc[g["kind"] == 2].groupby("node", as_index=False)["val"] \
-            .sum().rename(columns={"val": "n_tri"})
-        j = dd.merge(m, on="node", how="inner") \
-            .merge(tc, on="node", how="left")
-        degv = j["deg"].to_numpy(dtype="int64")
-        ntri = j["n_tri"].fillna(0.0).to_numpy(dtype="float64") \
-            .astype(np.int64)  # counts < 2^53: exact round-trip
+    # -- 6. final co-group: host map + deg + triangle counts ---------------
+    def finalize(m: pa.Table, d: pa.Table, tri: pa.Table) -> pa.Table:
+        m = m.group_by("node").aggregate([("host", "min")])
+        tc = tri.group_by("node").aggregate([("node", "count")])
+        j = d.join(m, "node", join_type="inner").join(tc, "node")
+        degv = j.column("deg").to_numpy(zero_copy_only=False)
+        ntri = pc.fill_null(j.column("node_count"), 0) \
+            .to_numpy(zero_copy_only=False)
         cm = np.zeros(len(j), dtype=np.int64)
         ok = degv >= 2
         cm[ok] = (2_000_000 * ntri[ok]) // (degv[ok] * (degv[ok] - 1))
-        return pd.DataFrame({"host": j["host"], "deg": degv,
-                             "n_tri": ntri, "clust_micro": cm})
+        return pa.table({"host": j.column("host_min"), "deg": degv,
+                         "n_tri": ntri, "clust_micro": cm})
 
-    return nmap.map_batches(map_rows, batch_format="pyarrow") \
-        .union(deg.map_batches(deg_rows, batch_format="pyarrow")) \
-        .union(members.map_batches(tri_rows, batch_format="pyarrow")) \
-        .groupby("fp").map_groups(finalize, batch_format="pandas") \
-        .map_batches(lambda d: pa.table({
-            "host": pa.array(d["host"].to_numpy(dtype=object),
-                             type=pa.string()),
-            "deg": pa.array(d["deg"].to_numpy(dtype="int64")),
-            "n_tri": pa.array(d["n_tri"].to_numpy(dtype="int64")),
-            "clust_micro": pa.array(d["clust_micro"].to_numpy(
-                dtype="int64"))}), batch_format="pandas")
+    return cogroup_map(
+        [(nmap, "node", pa.schema([("node", pa.int64()),
+                                   ("host", pa.string())])),
+         deg_side, (members, "node", NODE_SCHEMA)],
+        finalize, pa.schema([("host", pa.string()), ("deg", pa.int64()),
+                             ("n_tri", pa.int64()),
+                             ("clust_micro", pa.int64())]))

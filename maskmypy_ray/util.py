@@ -51,6 +51,62 @@ def segment_map(ds, key: str, kernel, schema):
                                     batch_size=None)
 
 
+def cogroup_map(sides, kernel, schema):
+    """Keyed co-group of several datasets: ``sides`` is a list of
+    ``(ds, key_col, side_schema)``, and every row that shares a key,
+    from every side, reaches exactly ONE call ``kernel(*tables)`` with
+    one ``pa.Table`` per side, typed by its ``side_schema`` (a side
+    with no rows in the block arrives as a typed zero-row table). The
+    result is cast to ``schema``.
+
+    Each side is projected and cast to its schema, then padded to one
+    union schema with typed Arrow nulls plus an int8 side tag (``_key``
+    holds the key, cast to the first side's key type); the union runs
+    through :func:`segment_map` on the real key, and each sorted block
+    is split back by the tag. Kernels join with ``pa.Table.join``,
+    ``group_by`` or ``searchsorted`` — no pandas, so an int64 id stays
+    int64 at any magnitude (no sentinel padding, no float round trip,
+    no cast-back stage)."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    key_type = sides[0][2].field(sides[0][1]).type
+    cols = {i: {f.name: f"_{i}_{f.name}" for f in sch if f.name != key}
+            for i, (_, key, sch) in enumerate(sides)}
+    union = pa.schema(
+        [("_key", key_type), ("_side", pa.int8())]
+        + [(cols[i][f.name], f.type) for i, (_, key, sch) in enumerate(sides)
+           for f in sch if f.name != key])
+
+    def pad(i, key, sch):
+        def fn(b: pa.Table) -> pa.Table:
+            b = b.select(sch.names).cast(sch)
+            own = {u: b.column(c) for c, u in cols[i].items()}
+            n = b.num_rows
+            return pa.Table.from_arrays(
+                [b.column(key).cast(key_type),
+                 pa.array(np.full(n, i, dtype=np.int8))]
+                + [own[f.name] if f.name in own else pa.nulls(n, f.type)
+                   for f in list(union)[2:]], schema=union)
+        return fn
+
+    def split(block: pa.Table) -> pa.Table:
+        tag = block.column("_side")
+        tables = []
+        for i, (_, key, sch) in enumerate(sides):
+            t = block.filter(pc.equal(tag, pa.scalar(i, pa.int8())))
+            tables.append(pa.Table.from_arrays(
+                [t.column("_key").cast(f.type) if f.name == key
+                 else t.column(cols[i][f.name]) for f in sch], schema=sch))
+        return kernel(*tables).select(schema.names).cast(schema)
+
+    padded = [ds.map_batches(pad(i, key, sch), batch_format="pyarrow")
+              for i, (ds, key, sch) in enumerate(sides)]
+    return segment_map(padded[0].union(*padded[1:]) if len(padded) > 1
+                       else padded[0], "_key", split, schema)
+
+
 def run_local_ranks(new):
     """0-based rank of each row WITHIN its run, given run-start
     indicator ``new`` over rows already sorted so each run is
@@ -115,7 +171,7 @@ def pair_ids_ref(pairs_ds, col_a: str, col_b: str):
         arrs = []
         for b in blocks:
             t = b if isinstance(b, pa.Table) else pa.Table.from_pandas(b)
-            # empty map_groups partitions yield schema-less blocks
+            # empty shuffle partitions yield schema-less blocks
             if not t.num_rows or col_a not in t.column_names:
                 continue
             ab = np.concatenate([

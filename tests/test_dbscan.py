@@ -37,7 +37,7 @@ def _brute_dbscan(keys, x, y, eps, min_pts):
     return cluster, core.astype(np.int64)
 
 
-def _points_ds(ray, n=240, seed=7):
+def _points_ds(ray, n=240, seed=7, offset=0):
     rng = np.random.default_rng(seed)
     # two dense blobs + a sparse background => cores, borders and noise
     blob_a = rng.normal([0.0, 0.0], 60.0, size=(n // 3, 2))
@@ -45,7 +45,7 @@ def _points_ds(ray, n=240, seed=7):
     bg = rng.uniform([-4000.0, -4000.0], [6000.0, 6000.0],
                      size=(n - 2 * (n // 3), 2))
     xy = np.concatenate([blob_a, blob_b, bg])
-    keys = np.arange(len(xy), dtype=np.int64) * 13 + 5  # non-contiguous
+    keys = np.arange(len(xy), dtype=np.int64) * 13 + 5 + offset  # sparse
     tbl = pa.table({
         "doc_id": pa.array(keys),
         "url": pa.array([f"u{k}" for k in keys], type=pa.string()),
@@ -64,8 +64,11 @@ def _run(ds, keys, **kw):
             out["is_core"].to_numpy(dtype="int64"))
 
 
-def test_dbscan_matches_brute_force(ray_session):
-    ds, keys, xy = _points_ds(ray_session)
+@pytest.mark.parametrize("offset", [0, 1 << 60])
+def test_dbscan_matches_brute_force(ray_session, offset):
+    """``1 << 60`` keys are legal int64 ids beyond float64's exact
+    range: labels must come back exact."""
+    ds, keys, xy = _points_ds(ray_session, offset=offset)
     eps, min_pts = 60.0, 6
     got_cl, got_core = _run(ds, keys, eps=eps, min_pts=min_pts)
     exp_cl, exp_core = _brute_dbscan(keys, xy[:, 0], xy[:, 1], eps, min_pts)

@@ -207,3 +207,129 @@ def test_segment_map_empty_block_is_typed():
     empty = fake.fn(pa.table({"k": pa.array([], type=pa.int64())}))
     assert empty.schema == schema and empty.num_rows == 0
     assert fake.fn(pa.table({"k": [3]})).to_pydict() == {"k": [3], "n": [3]}
+
+
+def _cogroup_sides(ray):
+    """Three sides over the keys of the segment_map test (one hot key,
+    7) with different column names, key columns and types."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(12)
+    keys = rng.permutation(np.r_[np.full(3000, 7), np.repeat([2, 9, 30], 400)])
+    a = pa.table({"k": keys.astype(np.int64),
+                  "x": rng.normal(size=len(keys))})
+    b = pa.table({"id": np.repeat([7, 9, 41], 5).astype(np.int32),
+                  "name": [f"n{i}" for i in range(15)]})
+    c = pa.table({"flag": np.ones(6, dtype=np.int8),
+                  "kk": np.array([30, 30, 7, 2, 41, 41], dtype=np.int64)})
+    schemas = [pa.schema([("k", pa.int64()), ("x", pa.float64())]),
+               pa.schema([("id", pa.int64()), ("name", pa.string())]),
+               pa.schema([("kk", pa.int64()), ("flag", pa.int8())])]
+    sides = [(ray.data.from_arrow(a).repartition(8), "k", schemas[0]),
+             (ray.data.from_arrow(b).repartition(3), "id", schemas[1]),
+             (ray.data.from_arrow(c), "kk", schemas[2])]
+    return sides, schemas
+
+
+def test_cogroup_map_three_sides_one_call_per_key(ray_session):
+    """More blocks than keys, one hot key: every key's rows from every
+    side reach exactly one kernel call, and each side's table carries
+    its declared schema (the int32 key side arrives as int64, columns
+    in declared order)."""
+    import os
+
+    import pyarrow as pa
+    import ray
+
+    from maskmypy_ray.util import cogroup_map
+
+    sides, schemas = _cogroup_sides(ray_session)
+    out_schema = pa.schema([("k", pa.int64()), ("call", pa.int64()),
+                            ("na", pa.int64()), ("nb", pa.int64()),
+                            ("nc", pa.int64()), ("typed", pa.int64())])
+
+    def kernel(ta, tb, tc):
+        typed = [t.schema for t in (ta, tb, tc)] == schemas
+        cols = [t.column(0).to_numpy() for t in (ta, tb, tc)]
+        k = np.unique(np.concatenate(cols))
+        n = [np.searchsorted(np.sort(c), k, side="right")
+             - np.searchsorted(np.sort(c), k) for c in cols]
+        call = int.from_bytes(os.urandom(7), "little")
+        return pa.table({"k": k, "call": np.full(len(k), call),
+                         "na": n[0], "nb": n[1], "nc": n[2],
+                         "typed": np.full(len(k), int(typed))})
+
+    blocks = ray.get(cogroup_map(sides, kernel, out_schema).to_arrow_refs())
+    assert len(blocks) > 5
+    full = [b for b in blocks if b.num_rows]
+    assert all(b.schema == out_schema for b in full)
+    out = pa.concat_tables(full).to_pandas()
+    assert sorted(out["k"]) == [2, 7, 9, 30, 41]  # one call per key
+    assert (out["typed"] == 1).all()
+    got = {k: (a, b, c) for k, a, b, c in
+           zip(out["k"], out["na"], out["nb"], out["nc"])}
+    assert got == {7: (3000, 5, 1), 2: (400, 0, 1), 9: (400, 5, 0),
+                   30: (400, 0, 2), 41: (0, 5, 2)}
+
+
+def test_cogroup_map_empty_side_is_typed(ray_session):
+    """A side with no rows at all reaches the kernel as a typed
+    zero-row table, and the left join's column from it comes back
+    typed (all null)."""
+    import pyarrow as pa
+
+    from maskmypy_ray.util import cogroup_map
+
+    sides, schemas = _cogroup_sides(ray_session)
+    empty = sides[1][0].filter(expr="id < 0")
+    out_schema = pa.schema([("k", pa.int64()), ("name", pa.string()),
+                            ("nb", pa.int64())])
+
+    def kernel(ta, tb):
+        assert tb.schema == schemas[1] and tb.num_rows == 0
+        j = ta.group_by("k").aggregate([]).join(tb, "k", "id")
+        return j.append_column("nb", pa.array(np.zeros(len(j), np.int64)))
+
+    out = cogroup_map([sides[0], (empty, "id", schemas[1])], kernel,
+                      out_schema).materialize()
+    assert out.schema().names == out_schema.names
+    assert list(out.schema().types) == list(out_schema.types)
+    df = out.to_pandas().sort_values("k")
+    assert df["k"].tolist() == [2, 7, 9, 30]
+    assert df["name"].isna().all()
+
+
+def test_cogroup_map_left_attach_keeps_int64_exact(ray_session):
+    """int64 ids >= 2^62 through a left attach with unmatched rows: the
+    ids and labels come back exact (a pandas left merge would promote
+    them to float64 and round them)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data
+
+    from maskmypy_ray.util import cogroup_map
+
+    base = (1 << 62) + 1
+    ids = base + np.arange(0, 600, 3, dtype=np.int64) * 7
+    lab_ids = ids[::2]
+    labels = lab_ids + (1 << 61) + 3
+    rows = ray.data.from_arrow(pa.table({"doc_id": ids})).repartition(5)
+    lab = ray.data.from_arrow(pa.table({"node": lab_ids,
+                                        "cluster_id": labels})) \
+        .repartition(3)
+    schema = pa.schema([("doc_id", pa.int64()), ("cluster", pa.int64())])
+
+    def attach(r, lb):
+        j = r.join(lb, "doc_id", "node")
+        return pa.table({"doc_id": j.column("doc_id"), "cluster": pc.fill_null(
+            j.column("cluster_id"), -1)})
+
+    out = cogroup_map(
+        [(rows, "doc_id", pa.schema([("doc_id", pa.int64())])),
+         (lab, "node", pa.schema([("node", pa.int64()),
+                                  ("cluster_id", pa.int64())]))],
+        attach, schema).to_pandas().sort_values("doc_id")
+    want = dict(zip(lab_ids.tolist(), labels.tolist()))
+    assert out["doc_id"].tolist() == ids.tolist()
+    assert out["cluster"].tolist() == [want.get(i, -1) for i in ids.tolist()]
+    assert str(out["cluster"].dtype) == "int64"
