@@ -16,12 +16,24 @@ address outside the block is farther than that) or the block already
 covers every address. Unresolved points re-run with the ring doubled,
 gathering only the annulus the doubling adds and re-ranking it with
 their carried top-k; every step is vectorized across the batch
-(range-expansion via repeat/cumsum, per-point top-k via one lexsort +
-segment rank — the ``_head_k_per_host`` idiom). A point still
-unresolved once its next ring block would hold at least as many cells
-as there are addresses (a point far outside the address cloud) is
-ranked against every address at once instead, so no point walks the
-empty cells between it and the cloud.
+(range-expansion via repeat/cumsum). A point still unresolved once its
+next ring block would hold at least as many cells as there are
+addresses (a point far outside the address cloud) is ranked against
+every address at once instead, so no point walks the empty cells
+between it and the cloud.
+
+Ranking is filter-then-refine. A point gathers ~30 candidates on a
+100 m index and keeps 3, so sorting every candidate by (point, dist2,
+addr_id) would spend most of the kernel ordering rows that are then
+dropped. First each point's k-th smallest candidate dist2, counting
+repeated values, is found (k passes of a segmented minimum in the ring
+loop, ``np.partition`` in the all-address fallback); only the rows at or
+below it are lexsorted and segment-ranked. The filter is exact: at least
+k rows of the point have dist2 <= that bound, so every row above it
+ranks after the k-th by (dist2, addr_id) and can never be in the top k.
+A point whose bound is not a finite number (fewer than k candidates, or
+a NaN dist2 from a NaN coordinate) keeps all of its rows, so a NaN point
+still gets the k smallest addr_ids with NaN dist2.
 
 Scale note: this is the small-context-side plan (guarded by the same
 BROADCAST_ADDR_LIMIT as calculate_k). For address sides too large to
@@ -41,15 +53,27 @@ import numpy as np
 import pyarrow as pa
 
 from ..geokernels.cells import MAX_PAIRS, cell_of_xy, neighbors_xy
+from ..util import segment_bounds
 from .k_anonymity import BROADCAST_ADDR_LIMIT, _TableDS
 
 DEFAULT_KNN_CELL_M = 500.0
 
 
+def knn_index(x, y, ids, cell_m: float):
+    """(cells_sorted, x, y, ids (all in sorted cell order), index_cell):
+    the broadcast kNN index over planar sites, as ``_knn_batch`` reads
+    it."""
+    index_cell = max(cell_m, 50.0)
+    cells = cell_of_xy(x, y, index_cell)
+    order = np.argsort(cells, kind="stable")
+    return (cells[order], x[order], y[order],
+            np.asarray(ids)[order].astype(np.int64), index_cell)
+
+
 def _compile_knn_index(addresses_ds, cell_m: float):
-    """Ray task -> (cells_sorted, ax, ay, addr_id (all in sorted cell
-    order), index_cell). Same off-driver compile shape as
-    k_anonymity._compile_index_remote, plus the addr_id payload."""
+    """Ray task -> ``knn_index`` over the address side (addr_id
+    payload). Same off-driver compile shape as
+    k_anonymity._compile_index_remote."""
     import ray
 
     from ..geokernels.geometry import latlon_to_xy
@@ -62,16 +86,39 @@ def _compile_knn_index(addresses_ds, cell_m: float):
         ax, ay = latlon_to_xy(
             tbl.column("lat").to_numpy(zero_copy_only=False),
             tbl.column("lon").to_numpy(zero_copy_only=False))
-        aid = tbl.column("addr_id").to_numpy(zero_copy_only=False)
-        index_cell = max(cell_m, 50.0)
-        cells = cell_of_xy(ax, ay, index_cell)
-        order = np.argsort(cells, kind="stable")
-        return (cells[order], ax[order], ay[order],
-                aid[order].astype(np.int64), index_cell)
+        return knn_index(ax, ay,
+                         tbl.column("addr_id").to_numpy(zero_copy_only=False),
+                         cell_m)
 
     if isinstance(addresses_ds, _TableDS):
         return compile_task.remote(ray.put(addresses_ds.table))
     return compile_task.remote(*addresses_ds.to_arrow_refs())
+
+
+def _within_kth(starts, ends, d2, k: int):
+    """Mask of the rows that can rank in their segment's top k.
+
+    Rows are grouped into segments ``starts[i]:ends[i]`` (one per point,
+    none empty). Each segment's bound is its k-th smallest dist2 counting
+    repeated values, found by k passes of a segmented minimum that each
+    count the rows equal to the pass's minimum and then retire them. A
+    segment that does not reach k rows (it has fewer, or holds a NaN,
+    which ``np.minimum`` propagates) keeps the bound +inf: every row."""
+    lens = ends - starts
+    kth = np.full(len(starts), np.inf)
+    need = np.full(len(starts), k, dtype=np.int64)
+    v = d2.copy()
+    for _ in range(k):
+        m = np.minimum.reduceat(v, starts)
+        eq = v == np.repeat(m, lens)
+        c = np.add.reduceat(eq, starts, dtype=np.int64)
+        hit = (need > 0) & (c >= need)
+        kth[hit] = m[hit]
+        need -= c
+        if not (need > 0).any():
+            break
+        v[eq] = np.inf
+    return ~(d2 > np.repeat(kth, lens))
 
 
 def _knn_batch(idx, mx, my, keys, k: int):
@@ -117,6 +164,13 @@ def _knn_batch(idx, mx, my, keys, k: int):
         pts = np.concatenate((c_pts, pts))
         cand = np.concatenate((c_cand, cand))
         d2 = np.concatenate((c_d2, dx * dx + dy * dy))
+        # Filter-then-refine: group the rows by point (ring 1's are
+        # already; carried rows sort in front of their point's annulus),
+        # drop every row beyond its point's k-th dist2, lexsort the rest.
+        g = np.argsort(pts, kind="stable")
+        pts, cand, d2 = pts[g], cand[g], d2[g]
+        keep = _within_kth(*segment_bounds(pts), d2, k)
+        pts, cand, d2 = pts[keep], cand[keep], d2[keep]
         order = np.lexsort((aid[cand], d2, pts))
         spt = pts[order]
         scand = cand[order]
@@ -157,7 +211,13 @@ def _knn_batch(idx, mx, my, keys, k: int):
 def _knn_all(idx, mx, my, keys, k: int, unres, out, filled: int):
     """Finish ``_knn_batch``: rank the ``unres`` points against every
     address by the same (dist2, addr_id) order, chunked so no step
-    exceeds MAX_PAIRS pairs, and return the filled output arrays."""
+    exceeds MAX_PAIRS pairs, and return the filled output arrays.
+
+    Each chunk's row bound is its k-th smallest dist2 (``np.partition``,
+    which counts repeated values and orders NaN last); only the entries
+    at or below it are lexsorted. At least k entries of a row are at or
+    below its bound, so no entry above it is in the row's top k; a NaN
+    bound (a NaN coordinate) keeps the whole row."""
     _, ax, ay, aid, _ = idx
     kk = min(k, len(ax))
     step = max(1, MAX_PAIRS // max(1, len(ax)))
@@ -166,12 +226,18 @@ def _knn_all(idx, mx, my, keys, k: int, unres, out, filled: int):
         dx = mx[u][:, None] - ax[None, :]
         dy = my[u][:, None] - ay[None, :]
         d2 = dx * dx + dy * dy
-        top = np.lexsort((np.broadcast_to(aid, d2.shape), d2))[:, :kk]
+        kth = np.partition(d2, kk - 1, axis=1)[:, kk - 1:kk]
+        row, col = np.nonzero(~(d2 > kth))
+        rd2 = d2[row, col]
+        order = np.lexsort((aid[col], rd2, row))
+        # every row keeps >= kk entries: its top kk open its sorted run
+        top = order[np.searchsorted(row, np.arange(len(u)))[:, None]
+                    + np.arange(kk)].ravel()
         sl = slice(filled, filled + len(u) * kk)
         out[0][sl] = np.repeat(keys[u], kk)
         out[1][sl] = np.tile(np.arange(1, kk + 1), len(u))
-        out[2][sl] = aid[top].ravel()
-        out[3][sl] = np.take_along_axis(d2, top, axis=1).ravel()
+        out[2][sl] = aid[col[top]]
+        out[3][sl] = rd2[top]
         filled = sl.stop
     return tuple(o[:filled] for o in out)
 

@@ -57,8 +57,22 @@ def _query_names():
 def test_query_matches_oracle(name, ray_session, sf_dir, oracle_con,
                              oracle_sqls):
     import __ray_entry__ as e
+    import pyarrow as pa
+    import ray
 
-    res = _to_pandas(e.queries()[name](sf_dir))
+    from maskmypy_ray import pipelines as P
+
+    res = e.queries()[name](sf_dir)
+    row = P.ROWS[name]
+    if isinstance(row, P.Row) and row.schema is not None:
+        # a tagged union's engine blocks carry exactly its declared schema
+        # (Ray forwards zero-row blocks untouched, with no columns)
+        want = pa.schema([pa.field("part", pa.string()), *row.schema])
+        res = res.materialize()
+        for b in ray.get(res.to_arrow_refs()):
+            assert not len(b) or b.schema == want, \
+                f"{name}: {b.schema} != {want}"
+    res = _to_pandas(res)
     assert len(res) >= 0
     sqls = oracle_sqls
     if name not in sqls:

@@ -228,3 +228,86 @@ def test_pair_ids_ref_distinct_sorted(ray_session):
     empty = rd.from_items([{"doc_a": 1, "doc_b": 2}]) \
         .filter(lambda r: False).materialize()
     assert len(ray.get(pair_ids_ref(empty, "doc_a", "doc_b"))) == 0
+
+
+def _knn_index_xy(ax, ay, aid, icell):
+    """The ``_compile_knn_index`` tuple, built without Ray."""
+    cells = cell_of_xy(ax, ay, icell)
+    o = np.argsort(cells, kind="stable")
+    return cells[o], ax[o], ay[o], aid[o].astype(np.int64), icell
+
+
+def _brute_knn_xy(ax, ay, aid, mx, my, keys, k):
+    """Per point, a lexsort of every address by (dist2, addr_id)."""
+    rows = []
+    for key, x, y in zip(keys, mx, my):
+        dx, dy = x - ax, y - ay
+        d2 = dx * dx + dy * dy
+        for r, i in enumerate(np.lexsort((aid, d2))[:k]):
+            rows.append((key, r + 1, aid[i], d2[i]))
+    if not rows:
+        return (np.empty(0, np.int64),) * 3 + (np.empty(0),)
+    key, rank, ids, d2 = zip(*rows)
+    return (np.array(key, np.int64), np.array(rank, np.int64),
+            np.array(ids, np.int64), np.array(d2))
+
+
+def _knn_fixture():
+    """Addresses over a 5 km square with shuffled ids, 300 of them
+    duplicated and 50 of those twice (exact dist2 ties broken by
+    addr_id), and a hot 100 m cell holding 250; points spread over it,
+    on duplicated addresses, inside the hot cell, 20 km and 200 km out,
+    and one at NaN."""
+    rng = np.random.default_rng(11)
+    ax = rng.uniform(0.0, 5000.0, 2000)
+    ay = rng.uniform(0.0, 5000.0, 2000)
+    dup = rng.choice(2000, 300, replace=False)
+    ax, ay = np.r_[ax, ax[dup], ax[dup[:50]]], np.r_[ay, ay[dup], ay[dup[:50]]]
+    ax = np.r_[ax, rng.uniform(2000.0, 2099.0, 250)]
+    ay = np.r_[ay, rng.uniform(3000.0, 3099.0, 250)]
+    aid = rng.permutation(len(ax)).astype(np.int64) * 3 + 7
+    mx = np.r_[rng.uniform(-200.0, 5200.0, 300), ax[dup[:80]],
+               rng.uniform(2000.0, 2099.0, 40),
+               5000.0 + 20_000.0, 2500.0, -200_000.0, np.nan]
+    my = np.r_[rng.uniform(-200.0, 5200.0, 300), ay[dup[:80]],
+               rng.uniform(3000.0, 3099.0, 40),
+               2500.0, -20_000.0, 2500.0, np.nan]
+    keys = rng.permutation(len(mx)).astype(np.int64) + 1000
+    return ax, ay, aid, mx, my, keys
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_knn_batch_matches_brute_force(monkeypatch, k):
+    """``_knn_batch`` on a 100 m index equals a numpy brute force on ids,
+    ranks and exact dist2, with ties, a hot cell, far points that finish
+    in ``_knn_all``, a NaN point (k rows: the smallest addr_ids, NaN
+    dist2), fewer addresses than k, and an empty batch."""
+    from maskmypy_ray.analysis import knn
+
+    ranked_all = []
+    knn_all = knn._knn_all
+
+    def spy(idx, mx, my, keys, k, unres, out, filled):
+        ranked_all.extend(keys[unres])
+        return knn_all(idx, mx, my, keys, k, unres, out, filled)
+
+    monkeypatch.setattr(knn, "_knn_all", spy)
+    ax, ay, aid, mx, my, keys = _knn_fixture()
+
+    def check(ax, ay, aid, mx, my, keys):
+        got = knn._knn_batch(_knn_index_xy(ax, ay, aid, 100.0),
+                             mx, my, keys, k)
+        want = _brute_knn_xy(ax, ay, aid, mx, my, keys, k)
+        o, p = np.lexsort((got[1], got[0])), np.lexsort((want[1], want[0]))
+        for g, w in zip((a[o] for a in got), (a[p] for a in want)):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    with np.errstate(invalid="ignore"):
+        check(ax, ay, aid, mx, my, keys)
+        assert set(keys[-4:]) <= set(ranked_all)
+        nan_rows = _brute_knn_xy(ax, ay, aid, mx[-1:], my[-1:], keys[-1:], k)
+        assert np.array_equal(nan_rows[2], np.sort(aid)[:k])
+        assert np.isnan(nan_rows[3]).all()
+        check(ax[:2], ay[:2], aid[:2], mx[:20], my[:20], keys[:20])
+        check(ax, ay, aid, mx[:0], my[:0], keys[:0])
