@@ -52,7 +52,6 @@ import pyarrow.compute as pc
 from ..geokernels.cells import halo_pair_d2, halo_rows
 from ..util import cogroup_map, segment_map
 
-DEFAULT_PARTITIONS = 64
 DEFAULT_EPS_M = 300.0
 DEFAULT_MIN_PTS = 4
 FLAG_SCHEMA = pa.schema([("key", pa.int64()), ("px", pa.float64()),
@@ -114,11 +113,12 @@ def _edge_block(block: pa.Table, eps2: float) -> pa.Table:
 def dbscan(points_ds, eps: float = DEFAULT_EPS_M,
            min_pts: int = DEFAULT_MIN_PTS, x_col: str = "x",
            y_col: str = "y", key_col: str = "doc_id",
-           carry: tuple[str, ...] = ("url",),
-           partitions: int = DEFAULT_PARTITIONS, max_rounds: int = 64):
+           carry: tuple[str, ...] = ("url",), max_rounds: int = 64):
     """Dataset[(*carry, key, cluster, is_core)] — DBSCAN labels for
     every input point; ``cluster`` = min core key in the cluster, -1
-    for noise. Result is independent of ``partitions`` (pytest-pinned).
+    for noise. Every shuffle is a ``util.segment_map`` sort whose
+    fan-out follows its input's size; the labels do not depend on it
+    (pytest runs two fan-outs).
 
     SQL twin: `pipelines._dbscan_sql` (grid-bucketed neighbor join +
     recursive-CTE min-label closure over core-core edges)."""
@@ -151,7 +151,7 @@ def dbscan(points_ds, eps: float = DEFAULT_EPS_M,
                             "doc_b": b.column("b")}),
         batch_format="pyarrow")
     cc = connected_components(nodes, core_edges, node_col="node",
-                              max_rounds=max_rounds, partitions=partitions)
+                              max_rounds=max_rounds)
 
     # -- border attach: labels meet border adjacency on the CORE key ------
     def attach_border(lab: pa.Table, bor: pa.Table) -> pa.Table:

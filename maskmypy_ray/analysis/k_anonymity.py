@@ -129,7 +129,10 @@ def count_by_cell(idx, mx: np.ndarray, my: np.ndarray, d: np.ndarray,
             pr = rows_s[i:min(i + step, e)]
             dx = gx - mx[pr][:, None]
             dy = gy - my[pr][:, None]
-            cnt[pr] += (dx * dx + dy * dy <= (d[pr] * d[pr])[:, None]).sum(axis=1)
+            dx *= dx  # in place: two pair matrices live, not four
+            dy *= dy
+            dx += dy
+            cnt[pr] += (dx <= (d[pr] * d[pr])[:, None]).sum(axis=1)
     return cnt
 
 
@@ -154,9 +157,9 @@ def _count_cell_block(block: pa.Table, key_col: str) -> pa.Table:
     is_addr = col("is_addr") == 1
     pt, ad = np.nonzero(~is_addr)[0], np.nonzero(is_addr)[0]
     cell, px, py = col("cell"), col("px"), col("py")
-    acell = cell[ad]
-    order = np.argsort(acell, kind="stable")
-    idx = (acell[order], order, px[ad], py[ad])
+    order = ad[np.argsort(cell[ad], kind="stable")]
+    # the index reads the block's own columns: no per-address copies
+    idx = (cell[order], order, px, py)
     cnt = count_by_cell(idx, px[pt], py[pt], col("d")[pt],
                         np.arange(len(pt)), cell[pt])
     return pa.table({key_col: pa.array(col("key")[pt], type=pa.int64()),

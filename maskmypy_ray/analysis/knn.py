@@ -33,7 +33,9 @@ k rows of the point have dist2 <= that bound, so every row above it
 ranks after the k-th by (dist2, addr_id) and can never be in the top k.
 A point whose bound is not a finite number (fewer than k candidates, or
 a NaN dist2 from a NaN coordinate) keeps all of its rows, so a NaN point
-still gets the k smallest addr_ids with NaN dist2.
+still gets the k smallest addr_ids with NaN dist2. A point with a
+non-finite coordinate has no cell, so it skips the rings and goes
+straight to the all-address fallback.
 
 Scale note: this is the small-context-side plan (guarded by the same
 BROADCAST_ADDR_LIMIT as calculate_k). For address sides too large to
@@ -130,8 +132,11 @@ def _knn_batch(idx, mx, my, keys, k: int):
     out_aid = np.empty_like(out_key)
     out_d2 = np.empty(len(out_key), dtype=np.float64)
     filled = 0
-    unres = np.arange(n)
-    own = cell_of_xy(mx, my, icell)
+    # a non-finite point has no cell: it is ranked by _knn_all only
+    fin = np.isfinite(mx) & np.isfinite(my)
+    unres, bad = np.flatnonzero(fin), np.flatnonzero(~fin)
+    own = np.zeros(n, dtype=np.int64)
+    own[unres] = cell_of_xy(mx[unres], my[unres], icell)
     # Carried top-k candidates of the unresolved points (local point
     # index, index position, dist2) and each one's cumulative candidate
     # count: a ring doubling gathers only its new annulus and re-ranks it
@@ -139,12 +144,9 @@ def _knn_batch(idx, mx, my, keys, k: int):
     c_pts = np.empty(0, dtype=np.int64)
     c_cand = np.empty(0, dtype=np.int64)
     c_d2 = np.empty(0, dtype=np.float64)
-    seen = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(len(unres), dtype=np.int64)
     ring, inner = 1, -1
-    while len(unres):
-        if (2 * ring + 1) ** 2 >= n_addr:
-            return _knn_all(idx, mx, my, keys, k, unres,
-                            (out_key, out_rank, out_aid, out_d2), filled)
+    while len(unres) and (2 * ring + 1) ** 2 < n_addr:
         px, py = mx[unres], my[unres]
         nb = neighbors_xy(own[unres], ring=ring, inner=inner)
         lo = np.searchsorted(cells, nb.ravel(), side="left")
@@ -204,8 +206,8 @@ def _knn_batch(idx, mx, my, keys, k: int):
         seen = seen[~done]
         unres = unres[~done]
         ring, inner = 2 * ring, ring
-    return (out_key[:filled], out_rank[:filled], out_aid[:filled],
-            out_d2[:filled])
+    return _knn_all(idx, mx, my, keys, k, np.concatenate((unres, bad)),
+                    (out_key, out_rank, out_aid, out_d2), filled)
 
 
 def _knn_all(idx, mx, my, keys, k: int, unres, out, filled: int):

@@ -42,10 +42,6 @@ import pyarrow as pa
 
 from ..util import cogroup_map, segment_map
 
-DEFAULT_PARTITIONS = 64
-# connected_components shuffles at most one partition per this many
-# rows (see the adaptive-coarseness note there).
-ROWS_PER_PARTITION = 4096
 # every round's rows: edge (u, v) routed by u, or a node marker u == v;
 # chg flags an edge the round relinked
 STATE_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64()),
@@ -161,8 +157,7 @@ def _label_part(block: pa.Table) -> pa.Table:
 
 def connected_components(nodes_ds, edges_ds, node_col: str = "node",
                          a_col: str = "doc_a", b_col: str = "doc_b",
-                         max_rounds: int = 64,
-                         partitions: int = DEFAULT_PARTITIONS):
+                         max_rounds: int = 64):
     """Cluster ids for every node: ``(node, cluster_id)`` with
     cluster_id = min node id in the connected component of the
     subgraph induced by ``nodes_ds`` (edges with an end outside it are
@@ -175,8 +170,9 @@ def connected_components(nodes_ds, edges_ds, node_col: str = "node",
     ``max_rounds`` counts large- and small-star rounds alike; past it
     a ``RuntimeError`` reports the changed-edge count of every round.
     Labels are int64-exact at any magnitude (sorts and searchsorted
-    only, no NaN-filling merge), and the result is independent of the
-    partition count."""
+    only, no NaN-filling merge). Every sort's fan-out is
+    ``segment_map``'s, from the state's size; the kernels are per-node,
+    so the labels do not depend on it (pytest runs two fan-outs)."""
     def to_sym(b: pa.Table) -> pa.Table:
         a = b.column(a_col).to_numpy(zero_copy_only=False).astype(np.int64)
         bb = b.column(b_col).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -190,37 +186,22 @@ def connected_components(nodes_ds, edges_ds, node_col: str = "node",
             .astype(np.int64)
         return _rows(n, n, np.zeros(len(n), dtype=bool))
 
-    sym0 = edges_ds.map_batches(to_sym, batch_format="pyarrow").materialize()
-    marks0 = nodes_ds.map_batches(to_marks,
-                                  batch_format="pyarrow").materialize()
-
-    # Adaptive coarseness: the per-round shuffle cost is in-blocks x
-    # out-partitions OBJECTS (round-4 lesson), so a tiny graph at the
-    # caller's full partition count pays thousands of near-empty-object
-    # fixed costs per round. The result is partition-count independent
-    # (pytest-pinned), so clamp P to the graph size — counts are free
-    # (both inputs just materialized); 100-TB graphs keep the caller's
-    # P. Both inputs are coalesced to P blocks, and every round's
-    # output is repartitioned back to P, so each round moves ~P x P
-    # objects.
-    n_edges = sym0.count()
-    partitions = min(partitions, max(
-        4, (n_edges + marks0.count()) // ROWS_PER_PARTITION + 1))
-
+    sym = edges_ds.map_batches(to_sym, batch_format="pyarrow").materialize()
     # node markers feed the first round and the final labels
-    marks = marks0.repartition(partitions).materialize()
+    marks = nodes_ds.map_batches(to_marks,
+                                 batch_format="pyarrow").materialize()
     state = marks
-    if n_edges:
-        # lazy: runs inside round 0's execution
-        state = segment_map(marks.union(sym0.repartition(partitions)), "u",
-                            _induce_part, STATE_SCHEMA)
+    if sym.count():
+        # lazy: round 0 materialises it as part of its input
+        state = segment_map(marks.union(sym), "u", _induce_part,
+                            STATE_SCHEMA)
         changed = []
         for rnd in range(max_rounds):
             inp = marks.union(state) if rnd == 0 else state
             state = segment_map(
                 inp, "u", partial(_star_part, large=rnd % 2 == 0,
                                   induce=rnd == 0),
-                STATE_SCHEMA).repartition(partitions).materialize()
+                STATE_SCHEMA).materialize()
             changed.append(int(state.sum("chg") or 0))
             if rnd and changed[-1] == changed[-2] == 0:
                 break
@@ -230,8 +211,7 @@ def connected_components(nodes_ds, edges_ds, node_col: str = "node",
                 f"rounds; changed edges per round: {changed}")
         state = marks.union(state)
 
-    return segment_map(state, "u", _label_part, LABEL_SCHEMA) \
-        .repartition(partitions)
+    return segment_map(state, "u", _label_part, LABEL_SCHEMA)
 
 
 def duplicate_clusters(ds, threshold: float = 0.8, ngram: int = 5,

@@ -23,11 +23,14 @@ Scale shape:
   orientation, the closing probe and the per-host assembly) are
   ``util.cogroup_map`` calls: every row of a key, from every side,
   meets in one pyarrow kernel, so 63-bit host hashes stay int64.
-* **The host graph is aggregated per src-partition** (every edge of a
-  src host lands in one ``hash(src) % P`` partition, so weights AND
-  out-degrees are exact with one vectorized pandas kernel) and
+* **The host graph is aggregated per src** (one ``segment_map`` on
+  ``src`` puts every edge of a src host in one sorted block, so
+  weights AND out-degrees are exact from two pyarrow group-bys) and
   materialized — bounded by distinct (src_host, dst_host) pairs, the
   same mass every iteration must read anyway.
+* **Every single-side shuffle is a ``util.segment_map`` on the real
+  key** with a pyarrow kernel: no route column, no pandas block, and
+  the sort fan-out is ``segment_map``'s, from the input's size.
 * **Iterations stream the edge table**: the rank vector (one int64
   per host — bounded; ~80 MB at 10^7 hosts) is broadcast each round,
   one ``map_batches`` over the edges emits integer contributions, and
@@ -44,11 +47,10 @@ matches bit-for-bit.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import cogroup_map, segment_map
+from ..util import cogroup_map, segment_map, segmented_pair_indices
 
 LINKS_PER_DOC = 3
 RANK_SCALE = 10**12
@@ -56,6 +58,9 @@ DAMP_PCT = 85  # damping d = 0.85 as the exact rational 85/100
 RANK_ITERS = 10
 MAX_HOSTS = 50_000_000  # driver-side rank-vector bound (~400 MB)
 SMALL_EDGES = 1 << 22  # host-graph edges below this iterate driver-side
+HOST_SCHEMA = pa.schema([("host", pa.string())])
+EW_SCHEMA = pa.schema([("src", pa.string()), ("dst", pa.string()),
+                       ("w", pa.int64()), ("ow", pa.int64())])
 
 from .corpus import HOST_RE  # noqa: E402  (shared host extraction)
 
@@ -68,7 +73,7 @@ def _host_of_url(batch: pa.Table) -> np.ndarray:
     return np.asarray(h.to_pylist(), dtype=object)
 
 
-def _host_edges(pages_ds, n_docs: int, links: int, partitions: int):
+def _host_edges(pages_ds, n_docs: int, links: int):
     """Dataset[(src, dst, w, ow)] — the aggregated host graph with
     exact per-src out-degrees. ONE keyed join (a link row originates
     from its src page, so it carries src_host locally; only the dst
@@ -76,7 +81,9 @@ def _host_edges(pages_ds, n_docs: int, links: int, partitions: int):
     host rows keyed by their own doc_id form one tagged dataset, and
     one ``segment_map`` on that key joins them per sorted block — the
     corpus-sized doc→host map is never broadcast and never visits the
-    driver."""
+    driver. A second ``segment_map`` on ``src`` then holds every edge
+    of a src host in one block, so weights and out-degrees are exact
+    from two pyarrow group-bys."""
 
     def tag_rows(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_numpy(zero_copy_only=False)
@@ -109,59 +116,45 @@ def _host_edges(pages_ds, n_docs: int, links: int, partitions: int):
         lnk = b.filter(pc.invert(is_host)).select(["key", "host"]) \
             .rename_columns(["key", "src"])
         m = lnk.join(hosts, "key", join_type="inner")
-        src = m.column("src").to_numpy(zero_copy_only=False)
-        codes = pd.util.hash_array(src.astype("U")).astype(np.int64)
-        return pa.table({"src": m.column("src"), "dst": m.column("dst"),
-                         "pq": pa.array(np.abs(codes) % partitions)})
+        return pa.table({"src": m.column("src"), "dst": m.column("dst")})
 
-    edges = segment_map(tagged.repartition(32), "key", resolve_dst,
+    edges = segment_map(tagged, "key", resolve_dst,
                         pa.schema([("src", pa.string()),
-                                   ("dst", pa.string()),
-                                   ("pq", pa.int64())]))
+                                   ("dst", pa.string())]))
 
-    def agg_part(g: pd.DataFrame) -> pd.DataFrame:
-        """Weights per (src, dst) + exact out-degree per src — all of a
-        src host's edges live in this partition (routed by src hash)."""
-        w = g.groupby(["src", "dst"], sort=True).size() \
-            .rename("w").reset_index()
-        ow = w.groupby("src", sort=False)["w"].transform("sum")
-        w["ow"] = ow
-        return w
-
-    def agg_arrow(d: pd.DataFrame) -> pa.Table:
-        return pa.table({
-            "src": pa.array(d["src"].to_numpy(dtype=object),
-                            type=pa.string()),
-            "dst": pa.array(d["dst"].to_numpy(dtype=object),
-                            type=pa.string()),
-            "w": pa.array(d["w"].to_numpy(dtype=np.int64)),
-            "ow": pa.array(d["ow"].to_numpy(dtype=np.int64)),
-        })
+    def agg_part(b: pa.Table) -> pa.Table:
+        """Weights per (src, dst) + exact out-degree per src — every
+        edge of a src host is in this block."""
+        w = b.group_by(["src", "dst"]).aggregate([("src", "count")])
+        ow = w.group_by("src").aggregate([("src_count", "sum")])
+        j = w.join(ow, "src", join_type="inner")
+        return pa.table({"src": j.column("src"), "dst": j.column("dst"),
+                         "w": j.column("src_count"),
+                         "ow": j.column("src_count_sum")})
 
     # Materialized: T iterations re-read this table (dual-consumer
     # rule); bounded by distinct (src_host, dst_host) pairs.
-    return edges.groupby("pq").map_groups(agg_part,
-                                          batch_format="pandas") \
-        .map_batches(agg_arrow, batch_format="pandas").materialize()
+    return segment_map(edges, "src", agg_part, EW_SCHEMA).materialize()
 
 
 def host_rank(pages_ds, iters: int = RANK_ITERS,
-              links: int = LINKS_PER_DOC, partitions: int = 64):
+              links: int = LINKS_PER_DOC):
     """Dataset[(host, rank_micro)] — integer-exact PageRank over the
     synthesized host link graph after ``iters`` rounds."""
     import ray
 
     n_docs = max(int(pages_ds.count()), 1)
-    ew = _host_edges(pages_ds, n_docs, links, partitions)
+    ew = _host_edges(pages_ds, n_docs, links)
 
     # bounded host list: distinct hosts of the graph + isolated hosts
     def hosts_part(b: pa.Table) -> pa.Table:
         hosts = np.unique(_host_of_url(b))
         return pa.table({"host": pa.array(hosts, type=pa.string())})
 
-    hosts = pages_ds.select_columns(["doc_id", "url"]) \
-        .map_batches(hosts_part, batch_format="pyarrow") \
-        .groupby("host").count().select_columns(["host"]).take_all()
+    hosts = segment_map(
+        pages_ds.select_columns(["doc_id", "url"])
+        .map_batches(hosts_part, batch_format="pyarrow"), "host",
+        lambda b: b.group_by("host").aggregate([]), HOST_SCHEMA).take_all()
     hl = np.sort(np.asarray([r["host"] for r in hosts], dtype=object))
     H = len(hl)
     assert H <= MAX_HOSTS, f"{H} hosts exceed the rank-vector bound"
@@ -233,6 +226,17 @@ EDGE_DA_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                             ("da", pa.int64())])
 ORIENTED_SCHEMA = pa.schema([(c, pa.int64()) for c in ("u", "v", "du", "dv")])
 WEDGE_SCHEMA = pa.schema([(c, pa.int64()) for c in ("x", "y", "z")])
+HOST_NODE_SCHEMA = pa.schema([("node", pa.int64()), ("host", pa.string())])
+KV_SCHEMA = pa.schema([("key", pa.string()), ("v", pa.int64())])
+
+
+def _node_map(b: pa.Table) -> pa.Table:
+    """(node, host) for the distinct hosts of one edge block; a host
+    seen in several blocks repeats, so consumers group by node."""
+    hosts = sorted(set(b.column("src").to_pylist())
+                   | set(b.column("dst").to_pylist()))
+    return pa.table({"node": pa.array(_hash63(hosts), type=pa.int64()),
+                     "host": pa.array(hosts, type=pa.string())})
 
 
 def _hash63(hosts) -> np.ndarray:
@@ -245,8 +249,7 @@ def _hash63(hosts) -> np.ndarray:
             & np.uint64(_H63)).astype(np.int64)
 
 
-def host_components(pages_ds, links: int = LINKS_PER_DOC,
-                    partitions: int = 64):
+def host_components(pages_ds, links: int = LINKS_PER_DOC):
     """Connected components of the host link graph ->
     ``(host, component)`` with component = min 63-bit host hash in the
     component — the web-graph community labeling that pairs with
@@ -263,7 +266,7 @@ def host_components(pages_ds, links: int = LINKS_PER_DOC,
     from .clusters import LABEL_SCHEMA, connected_components
 
     n_docs = pages_ds.count()
-    edges = _host_edges(pages_ds, n_docs, links, partitions)
+    edges = _host_edges(pages_ds, n_docs, links)
 
     def edge_ids(b: pa.Table) -> pa.Table:
         src = b.column("src").to_pylist()
@@ -273,32 +276,17 @@ def host_components(pages_ds, links: int = LINKS_PER_DOC,
             "doc_b": pa.array(_hash63(dst)),
         })
 
-    def node_map(b: pa.Table) -> pa.Table:
-        # distinct within the partition-local batch; cross-batch dups
-        # are dropped in the attach merge below
-        hosts = sorted(set(b.column("src").to_pylist())
-                       | set(b.column("dst").to_pylist()))
-        h = _hash63(hosts)
-        return pa.table({
-            "host": pa.array(hosts, type=pa.string()),
-            "node": pa.array(h),
-            "p": pa.array(h % partitions),
-        })
-
     eid = edges.map_batches(edge_ids, batch_format="pyarrow")
-    nmap = edges.map_batches(node_map, batch_format="pyarrow")
+    nmap = edges.map_batches(_node_map, batch_format="pyarrow")
 
-    # connected_components needs UNIQUE node rows: per-partition
-    # first-wins over the (host, hash) map rows; the same deduped rows
-    # feed the final attach merge.
-    def dedupe(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["node", "host"], kind="mergesort")
-        return g[~g["node"].duplicated().to_numpy()][["host", "node", "p"]]
+    # connected_components needs UNIQUE node rows: the least host per
+    # node hash; the same rows feed the final attach merge.
+    def dedupe(b: pa.Table) -> pa.Table:
+        m = b.group_by("node").aggregate([("host", "min")])
+        return pa.table({"node": m.column("node"),
+                         "host": m.column("host_min")})
 
-    uniq = nmap.groupby("p").map_groups(dedupe, batch_format="pandas") \
-        .map_batches(lambda b: pa.table({
-            "host": b.column("host"), "node": b.column("node"),
-            "p": b.column("p")}), batch_format="pyarrow").materialize()
+    uniq = segment_map(nmap, "node", dedupe, HOST_NODE_SCHEMA).materialize()
     nodes = uniq.map_batches(
         lambda b: pa.table({"node": b.column("node")}),
         batch_format="pyarrow")
@@ -310,15 +298,12 @@ def host_components(pages_ds, links: int = LINKS_PER_DOC,
                          "component": j.column("cluster_id")})
 
     return cogroup_map(
-        [(uniq, "node", pa.schema([("node", pa.int64()),
-                                   ("host", pa.string())])),
-         (cc, "node", LABEL_SCHEMA)],
+        [(uniq, "node", HOST_NODE_SCHEMA), (cc, "node", LABEL_SCHEMA)],
         attach, pa.schema([("host", pa.string()),
                            ("component", pa.int64())]))
 
 
-def host_degrees(pages_ds, links: int = LINKS_PER_DOC,
-                 partitions: int = 64):
+def host_degrees(pages_ds, links: int = LINKS_PER_DOC):
     """Dataset[(host, metric, v)] — per-host link-graph degree profile
     over the SAME synthesized edge table host_rank streams (and that
     :mod:`maskmypy_ray.text.html`'s extract_links recovers from the
@@ -327,36 +312,34 @@ def host_degrees(pages_ds, links: int = LINKS_PER_DOC,
     whose reverse edge exists).
 
     Long form so consumers (and the merged panel row) need one value
-    slot. Reciprocity pairs (a,b)/(b,a) inside ONE partition via a
-    symmetric routing key; degree partials stream off the bounded
-    aggregated edge table; the final sum is a fused-key groupby over
-    hosts x 5 rows (few distinct keys — plain aggregate is right)."""
+    slot. Reciprocity pairs (a,b)/(b,a) inside ONE sorted block via a
+    symmetric key (the xor of the two host hashes); degree partials
+    stream off the bounded aggregated edge table; the final sum is a
+    fused-key groupby over hosts x 5 rows (few distinct keys — plain
+    aggregate is right)."""
     from ray.data.aggregate import Sum
 
     n_docs = max(int(pages_ds.count()), 1)
-    ew = _host_edges(pages_ds, n_docs, links, partitions)
+    ew = _host_edges(pages_ds, n_docs, links)
 
     def add_sym(b: pa.Table) -> pa.Table:
-        src = b.column("src").to_numpy(zero_copy_only=False)
-        dst = b.column("dst").to_numpy(zero_copy_only=False)
-        lo = np.minimum(src, dst).astype("U")
-        hi = np.maximum(src, dst).astype("U")
-        code = pd.util.hash_array(np.char.add(np.char.add(lo, "\t"), hi))
-        return b.append_column(
-            "sp", pa.array((code % np.uint64(partitions)).astype(np.int64)))
+        sym = _hash63(b.column("src").to_pylist()) \
+            ^ _hash63(b.column("dst").to_pylist())
+        return b.select(["src", "dst"]).append_column("sym", pa.array(sym))
 
-    def recip_part(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.merge(g, left_on=["src", "dst"], right_on=["dst", "src"],
-                    suffixes=("", "_r"))
-        if not len(m):
-            return pd.DataFrame({"key": pd.Series([], dtype=object),
-                                 "v": pd.Series([], dtype=np.int64)})
-        c = m.groupby("src", sort=True).size()
-        return pd.DataFrame({"key": "recip\t" + c.index.astype(object),
-                             "v": c.to_numpy(dtype=np.int64)})
+    def recip_part(b: pa.Table) -> pa.Table:
+        # the edges whose reverse exists, counted per src
+        rev = b.select(["dst", "src"]).rename_columns(["src", "dst"])
+        c = b.select(["src", "dst"]).join(rev, ["src", "dst"],
+                                          join_type="inner") \
+            .group_by("src").aggregate([("src", "count")])
+        return pa.table({
+            "key": pc.binary_join_element_wise("recip", c.column("src"),
+                                               "\t"),
+            "v": c.column("src_count")})
 
-    recip = ew.map_batches(add_sym, batch_format="pyarrow") \
-        .groupby("sp").map_groups(recip_part, batch_format="pandas")
+    recip = segment_map(ew.map_batches(add_sym, batch_format="pyarrow"),
+                        "sym", recip_part, KV_SCHEMA)
 
     def deg_partials(b: pa.Table) -> pa.Table:
         src = b.column("src").to_numpy(zero_copy_only=False)
@@ -373,15 +356,8 @@ def host_degrees(pages_ds, links: int = LINKS_PER_DOC,
                                          type=pa.string()),
                          "v": pa.array(v, type=pa.int64())})
 
-    def to_arrow(d: pd.DataFrame) -> pa.Table:
-        return pa.table({
-            "key": pa.array(d["key"].to_numpy(dtype=object),
-                            type=pa.string()),
-            "v": pa.array(d["v"].to_numpy(dtype=np.int64)),
-        })
-
     longrows = ew.map_batches(deg_partials, batch_format="pyarrow") \
-        .union(recip.map_batches(to_arrow, batch_format="pandas"))
+        .union(recip)
 
     def split(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -397,8 +373,7 @@ def host_degrees(pages_ds, links: int = LINKS_PER_DOC,
         .map_batches(split, batch_format="pyarrow")
 
 
-def host_triangles(pages_ds, links: int = LINKS_PER_DOC,
-                   partitions: int = 64):
+def host_triangles(pages_ds, links: int = LINKS_PER_DOC):
     """Dataset[(host, deg, n_tri, clust_micro)] — per-host triangle
     counts and local clustering coefficients over the simple undirected
     host graph (same synthesized link rule as :func:`host_rank` /
@@ -412,13 +387,17 @@ def host_triangles(pages_ds, links: int = LINKS_PER_DOC,
     its lowest-(deg, id) vertex, which bounds wedge fan-out by graph
     arboricity instead of max degree, taming hub skew):
 
-    1. canonical simple edges: one coarse pair-hash partition dedup;
-    2. degrees: endpoint explode + per-node-partition counts;
+    1. canonical simple edges (a < b): one ``util.segment_map`` on
+       a, deduplicating (a, b) per sorted block;
+    2. degrees: endpoint explode + one ``segment_map`` on the node,
+       counting per sorted block;
     3. orientation: two ``util.cogroup_map`` joins with the degree
        rows (keyed on a, then on b) attach (deg_a, deg_b); each edge
        points from the lexicographically smaller (deg, id);
-    4. wedges: out-neighbor pairs per source, emitted ordered by the
-       same total order;
+    4. wedges: one ``segment_map`` on the source u; each sorted block
+       is ordered by (u, deg_v, v) and emits every out-neighbor pair
+       of a source as one segmented triu (no per-source loop), so each
+       wedge comes ordered by the same total order;
     5. closing probe: one ``cogroup_map`` of the wedges (x; y, z),
        keyed on y, with the oriented edges, keyed on their source u —
        a wedge whose edge y -> z exists is a triangle, counted on all
@@ -429,71 +408,38 @@ def host_triangles(pages_ds, links: int = LINKS_PER_DOC,
        size.
     """
     n_docs = pages_ds.count()
-    edges = _host_edges(pages_ds, n_docs, links, partitions)
-
-    # Adaptive coarseness (same rule as connected_components): every
-    # stage below shuffles in-blocks x P objects, so a tiny host graph
-    # at the caller's full P pays hundreds of near-empty-object fixed
-    # costs per stage. The result is partition-count independent
-    # (pytest-pinned); the count is free (edges just materialized).
-    partitions = min(partitions, max(4, edges.count() // 2048 + 1))
+    edges = _host_edges(pages_ds, n_docs, links)
 
     # -- 1. canonical undirected simple edges + host/node map rows --------
     def canon(b: pa.Table) -> pa.Table:
         hs = _hash63(b.column("src").to_pylist())
         hd = _hash63(b.column("dst").to_pylist())
-        a = np.minimum(hs, hd)
-        bb = np.maximum(hs, hd)
-        keep = a != bb
-        a, bb = a[keep], bb[keep]
-        return pa.table({
-            "a": pa.array(a), "b": pa.array(bb),
-            "pp": pa.array((a ^ bb) % partitions),
-        })
+        keep = hs != hd
+        return pa.table({"a": np.minimum(hs, hd)[keep],
+                         "b": np.maximum(hs, hd)[keep]})
 
-    def node_map(b: pa.Table) -> pa.Table:
-        hosts = sorted(set(b.column("src").to_pylist())
-                       | set(b.column("dst").to_pylist()))
-        h = _hash63(hosts)
-        return pa.table({
-            "host": pa.array(hosts, type=pa.string()),
-            "node": pa.array(h),
-            "p": pa.array(h % partitions),
-        })
+    def distinct(b: pa.Table) -> pa.Table:
+        return b.group_by(["a", "b"]).aggregate([]).select(["a", "b"])
 
-    def dedup_edges(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["a", "b"], kind="mergesort") \
-            .drop_duplicates(["a", "b"])[["a", "b"]]
+    # bounded checkpoint (distinct host pairs); 2 consumers: degrees
+    # and orientation
+    uedges = segment_map(edges.map_batches(canon, batch_format="pyarrow"),
+                         "a", distinct, EDGE_SCHEMA).materialize()
 
-    # bounded checkpoint (distinct host pairs); 3 consumers: degrees,
-    # orientation, and the host map below reuses the raw edge table
-    uedges = edges.map_batches(canon, batch_format="pyarrow") \
-        .groupby("pp").map_groups(dedup_edges, batch_format="pandas") \
-        .map_batches(lambda d: pa.table({
-            "a": pa.array(d["a"].to_numpy(dtype="int64")),
-            "b": pa.array(d["b"].to_numpy(dtype="int64"))}),
-            batch_format="pandas").materialize()
-
-    nmap = edges.map_batches(node_map, batch_format="pyarrow")
+    nmap = edges.map_batches(_node_map, batch_format="pyarrow")
 
     # -- 2. degrees ---------------------------------------------------------
     def endpoints(b: pa.Table) -> pa.Table:
-        a = b.column("a").to_numpy(zero_copy_only=False)
-        bb = b.column("b").to_numpy(zero_copy_only=False)
-        n = np.concatenate([a, bb])
-        return pa.table({"node": pa.array(n),
-                         "p": pa.array(n % partitions)})
+        return pa.table({"node": pa.concat_arrays(
+            [b.column(c).combine_chunks() for c in ("a", "b")])})
 
-    def count_part(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby("node", sort=True).size().rename("deg").reset_index()
-        return c
+    def count_part(b: pa.Table) -> pa.Table:
+        c = b.group_by("node").aggregate([("node", "count")])
+        return pa.table({"node": c.column("node"),
+                         "deg": c.column("node_count")})
 
-    deg = uedges.map_batches(endpoints, batch_format="pyarrow") \
-        .groupby("p").map_groups(count_part, batch_format="pandas") \
-        .map_batches(lambda d: pa.table({
-            "node": pa.array(d["node"].to_numpy(dtype="int64")),
-            "deg": pa.array(d["deg"].to_numpy(dtype="int64"))}),
-            batch_format="pandas").materialize()
+    deg = segment_map(uedges.map_batches(endpoints, batch_format="pyarrow"),
+                      "node", count_part, DEG_SCHEMA).materialize()
 
     # -- 3. orientation: attach deg to both ends (two keyed joins) ---------
     deg_side = (deg, "node", DEG_SCHEMA)
@@ -520,38 +466,16 @@ def host_triangles(pages_ds, links: int = LINKS_PER_DOC,
                            attach_db_orient, ORIENTED_SCHEMA).materialize()
 
     # -- 4. wedges per source, ordered by the same (deg, id) total order ---
-    def route_u(b: pa.Table) -> pa.Table:
-        u = b.column("u").to_numpy(zero_copy_only=False)
-        return b.append_column("wp", pa.array(u % partitions,
-                                              type=pa.int64()))
+    def wedge_part(b: pa.Table) -> pa.Table:
+        u, v, dv = (b.column(c).to_numpy(zero_copy_only=False)
+                    for c in ("u", "v", "dv"))
+        order = np.lexsort((v, dv, u))
+        u, v = u[order], v[order]
+        # (dv, v)-sorted within each source: y before z
+        i, j = segmented_pair_indices(np.r_[True, u[1:] != u[:-1]])
+        return pa.table({"x": u[i], "y": v[i], "z": v[j]})
 
-    def wedge_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["u", "dv", "v"], kind="mergesort")
-        u = g["u"].to_numpy(dtype="int64")
-        v = g["v"].to_numpy(dtype="int64")
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-        ends = np.r_[starts[1:], len(u)]
-        xs, ys, zs = [], [], []
-        for s, e in zip(starts, ends):
-            d = e - s
-            if d < 2:
-                continue
-            i, j = np.triu_indices(d, k=1)
-            xs.append(np.full(len(i), u[s], dtype=np.int64))
-            ys.append(v[s + i])  # (dv, v)-sorted => wedge is ordered
-            zs.append(v[s + j])
-        if not xs:
-            return pd.DataFrame({c: pd.array([], dtype="int64")
-                                 for c in ("x", "y", "z")})
-        return pd.DataFrame({"x": np.concatenate(xs),
-                             "y": np.concatenate(ys),
-                             "z": np.concatenate(zs)})
-
-    wedges = oriented.map_batches(route_u, batch_format="pyarrow") \
-        .groupby("wp").map_groups(wedge_part, batch_format="pandas") \
-        .map_batches(lambda d: pa.table({
-            c: pa.array(d[c].to_numpy(dtype="int64"))
-            for c in ("x", "y", "z")}), batch_format="pandas")
+    wedges = segment_map(oriented, "u", wedge_part, WEDGE_SCHEMA)
 
     # -- 5. closing-edge probe: triangles ----------------------------------
     # a wedge (x; y, z) closes iff the oriented edge y -> z exists, so
@@ -581,9 +505,7 @@ def host_triangles(pages_ds, links: int = LINKS_PER_DOC,
                          "n_tri": ntri, "clust_micro": cm})
 
     return cogroup_map(
-        [(nmap, "node", pa.schema([("node", pa.int64()),
-                                   ("host", pa.string())])),
-         deg_side, (members, "node", NODE_SCHEMA)],
+        [(nmap, "node", HOST_NODE_SCHEMA), deg_side, (members, "node", NODE_SCHEMA)],
         finalize, pa.schema([("host", pa.string()), ("deg", pa.int64()),
                              ("n_tri", pa.int64()),
                              ("clust_micro", pa.int64())]))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+# Sorted bytes per segment_map partition; None reads Ray's
+# DataContext.target_max_block_size (128 MiB by default).
+PARTITION_BYTES = None
+
 
 def auto_concurrency(cap: int = 64) -> tuple[int, int]:
     """Autoscaling actor-pool bounds (min 1, max = CPUs - 2 capped).
@@ -43,7 +47,35 @@ def segment_map(ds, key: str, kernel, schema):
     map UDF, so a sort's empty partitions pass through schema-less; the
     kernels type their own empty outputs.) The sort is an all-to-all
     barrier, so the whole-block map never fuses with a row-expanding
-    upstream stage."""
+    upstream stage.
+
+    The fan-out is decided here, once, from the input's size: the sort
+    runs over ``P = max(1, min(blocks, ceil(bytes / PARTITION_BYTES)))``
+    partitions, and the input is coalesced to P blocks when P is below
+    its block count. A shuffle costs in-blocks x out-partitions objects,
+    so a small input sorts into one partition however many blocks it
+    arrived in, while at 10^12 rows each partition still holds about
+    one target block (``bytes / PARTITION_BYTES`` is then far above any
+    CPU count, and capping at the block count never sorts into more
+    partitions than the blocks Ray cut). The sizes come from block
+    metadata, so an input that is not materialised is materialised
+    first (the sort is an all-to-all barrier that holds every input
+    block before it sorts anything anyway), and a materialised input
+    does not run again."""
+    import math
+
+    from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE, DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
+    target = PARTITION_BYTES or DataContext.get_current() \
+        .target_max_block_size or DEFAULT_TARGET_MAX_BLOCK_SIZE
+    blocks = ds.num_blocks()
+    p = max(1, min(blocks, math.ceil((ds.size_bytes() or 0) / target)))
+    if p < blocks:
+        ds = ds.repartition(p)
+
     def fn(block):
         return kernel(block) if block.num_rows else schema.empty_table()
 

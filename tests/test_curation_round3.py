@@ -212,37 +212,45 @@ def test_connected_components_induced_subgraph(ray_session):
 
 def test_connected_components_partition_independent(ray_session,
                                                     monkeypatch):
-    """The 600-node scrambled path gives the union-find answer at 4 and
-    at 7 partitions. The graph-size clamp would run both at 4, so it is
-    lifted; the output block count shows which P ran."""
+    """The 600-node scrambled path, its nodes and edges in 8 blocks
+    each, gives the union-find answer at two sort fan-outs
+    (``util.PARTITION_BYTES`` at its default and at 4 KiB); the output
+    block count, the label sort's fan-out, shows which ran."""
+    from maskmypy_ray import util
     from maskmypy_ray.text import clusters
 
-    monkeypatch.setattr(clusters, "ROWS_PER_PARTITION", 1)
     ids = _scrambled_path(600)
     want = _min_labels(ids, zip(ids[:-1], ids[1:]))
-    runs = []
-    for p in (4, 7):
+    runs, blocks = [], []
+    for value in (None, 4096):
+        monkeypatch.setattr(util, "PARTITION_BYTES", value)
         nodes, eds = _cc_frames(ray_session, ids, ids[:-1], ids[1:])
-        out = clusters.connected_components(nodes, eds,
-                                            partitions=p).materialize()
-        assert out.num_blocks() == p
+        out = clusters.connected_components(
+            nodes.repartition(8), eds.repartition(8)).materialize()
+        blocks.append(out.num_blocks())
         got = out.to_pandas().sort_values("node").reset_index(drop=True)
         assert dict(zip(got["node"].tolist(),
                         got["cluster_id"].tolist())) == want
         runs.append(got)
+    assert blocks[0] < blocks[1]
     assert runs[0].equals(runs[1])
 
 
-def test_connected_components_block_count_held(ray_session):
-    """Every round's output is coalesced back to P blocks, so a
-    many-round input ends at P blocks (the state used to gain P blocks
-    per round)."""
+def test_connected_components_block_count_held(ray_session, monkeypatch):
+    """The label sort's fan-out follows the state's size, not the
+    round count or the input blocks: with 16 input blocks per side and
+    2 KiB per partition, the labels of a many-round 120-node path sit in
+    at most ceil((120 marks + 2 * 119 edge rows) * 24 bytes / 2048) = 5
+    blocks (the state used to gain P blocks per round)."""
+    from maskmypy_ray import util
     from maskmypy_ray.text.clusters import connected_components
 
+    monkeypatch.setattr(util, "PARTITION_BYTES", 2048)
     ids = _scrambled_path(120)
     nodes, eds = _cc_frames(ray_session, ids, ids[:-1], ids[1:])
-    out = connected_components(nodes, eds, partitions=4).materialize()
-    assert out.num_blocks() <= 4
+    out = connected_components(nodes.repartition(16),
+                               eds.repartition(16)).materialize()
+    assert out.num_blocks() <= 5
     assert (out.to_pandas()["cluster_id"] == ids.min()).all()
 
 

@@ -81,11 +81,26 @@ def test_dbscan_matches_brute_force(ray_session, offset):
     assert len(np.unique(got_cl[got_cl >= 0])) >= 2
 
 
-def test_dbscan_partition_independent(ray_session):
+def test_dbscan_partition_independent(ray_session, monkeypatch):
+    """The same labels at two sort fan-outs (``util.PARTITION_BYTES`` at
+    its default and at 64 bytes) over input in 8 blocks; the output
+    block count, the final co-group's fan-out, shows that two different
+    fan-outs ran."""
+    from maskmypy_ray import util
+    from maskmypy_ray.analysis.dbscan import dbscan
+
     ds, keys, xy = _points_ds(ray_session, n=150, seed=11)
-    a = _run(ds, keys, eps=250.0, min_pts=3, partitions=5)
-    b = _run(ds, keys, eps=250.0, min_pts=3, partitions=64)
-    assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
+    runs, blocks = [], []
+    for value in (None, 64):
+        monkeypatch.setattr(util, "PARTITION_BYTES", value)
+        out = dbscan(ds.repartition(8), key_col="doc_id", eps=250.0,
+                     min_pts=3).materialize()
+        blocks.append(out.num_blocks())
+        runs.append(out.to_pandas().set_index("key").loc[keys])
+    assert blocks[0] < blocks[1]
+    a, b = runs
+    assert (a["cluster"] == b["cluster"]).all()
+    assert (a["is_core"] == b["is_core"]).all()
 
 
 def test_dbscan_all_noise(ray_session):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -303,7 +305,9 @@ def test_knn_batch_matches_brute_force(monkeypatch, k):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
 
-    with np.errstate(invalid="ignore"):
+    # a NaN point is ranked without a cell: no RuntimeWarning anywhere
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         check(ax, ay, aid, mx, my, keys)
         assert set(keys[-4:]) <= set(ranked_all)
         nan_rows = _brute_knn_xy(ax, ay, aid, mx[-1:], my[-1:], keys[-1:], k)

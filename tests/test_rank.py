@@ -1,4 +1,4 @@
-"""Host-level PageRank (text/rank.py): oracle parity, partition
+"""Host-level PageRank (text/rank.py): oracle parity, sort fan-out
 independence, and fast-path/distributed-path agreement."""
 
 from __future__ import annotations
@@ -33,16 +33,38 @@ def test_host_rank_oracle_parity(ray_session, sf_dir):
     assert r.max() > 2 * r.min()
 
 
-def test_host_rank_partition_independent(ray_session, sf_dir):
-    """Identical ranks with a different partition count (all joins are
-    hash-routed; the iteration arithmetic is partition-free)."""
+def _edge_blocks(monkeypatch):
+    """Record the block count of every ``_host_edges`` table: it is a
+    ``segment_map`` output, so its block count is that sort's fan-out."""
+    from maskmypy_ray.text import rank as rank_mod
+
+    blocks = []
+    host_edges = rank_mod._host_edges
+
+    def spy(*args):
+        ew = host_edges(*args)
+        blocks.append(ew.num_blocks())
+        return ew
+
+    monkeypatch.setattr(rank_mod, "_host_edges", spy)
+    return blocks
+
+
+def test_host_rank_partition_independent(ray_session, sf_dir, monkeypatch):
+    """Identical ranks at two sort fan-outs (``util.PARTITION_BYTES`` at
+    its default and at 2 KiB); the edge table's block count shows that
+    two different fan-outs ran."""
+    from maskmypy_ray import util
     from maskmypy_ray.text.rank import host_rank
 
-    a = host_rank(_pages(sf_dir), partitions=64).to_pandas() \
-        .sort_values("host").reset_index(drop=True)
-    b = host_rank(_pages(sf_dir), partitions=7).to_pandas() \
-        .sort_values("host").reset_index(drop=True)
-    assert a.equals(b)
+    blocks = _edge_blocks(monkeypatch)
+    runs = []
+    for value in (None, 2048):
+        monkeypatch.setattr(util, "PARTITION_BYTES", value)
+        runs.append(host_rank(_pages(sf_dir)).to_pandas()
+                    .sort_values("host").reset_index(drop=True))
+    assert blocks[0] < blocks[1]
+    assert runs[0].equals(runs[1])
 
 
 def test_host_rank_paths_agree(ray_session, sf_dir, monkeypatch):
@@ -118,15 +140,18 @@ def test_connected_components_labels_above_2_53(ray_session):
     assert out["node"].tolist() == ids
 
 
-def test_host_degrees_brute_force(ray_session):
+def test_host_degrees_brute_force(ray_session, monkeypatch):
     """host_degrees matches a python brute force on a tiny two-host
-    page set (incl. reciprocal self-host edges)."""
+    page set (incl. reciprocal self-host edges), in four blocks, at two
+    sort fan-outs (``util.PARTITION_BYTES`` at its default and at 1
+    byte, which sorts into one partition per block)."""
     import collections
 
     import numpy as np
     import pyarrow as pa
     import ray.data
 
+    from maskmypy_ray import util
     from maskmypy_ray.text.rank import LINKS_PER_DOC, host_degrees
 
     n = 8
@@ -137,7 +162,6 @@ def test_host_degrees_brute_force(ray_session):
         "url": pa.array([f"https://{h}/page/{i}"
                          for i, h in enumerate(hosts)]),
     })
-    got = host_degrees(ray.data.from_arrow(t), partitions=4).to_pandas()
     edges = collections.Counter()
     for i in range(n):
         for j in range(LINKS_PER_DOC):
@@ -152,8 +176,13 @@ def test_host_degrees_brute_force(ray_session):
         exp[(d, "in_w")] += w
         if (d, s) in edges:
             exp[(s, "recip")] += 1
-    gotd = {(r.host, r.metric): r.v for r in got.itertuples()}
-    assert gotd == dict(exp)
+    blocks = _edge_blocks(monkeypatch)
+    for value in (None, 1):
+        monkeypatch.setattr(util, "PARTITION_BYTES", value)
+        got = host_degrees(ray.data.from_arrow(t).repartition(4)).to_pandas()
+        gotd = {(r.host, r.metric): r.v for r in got.itertuples()}
+        assert gotd == dict(exp)
+    assert blocks[0] < blocks[1]
 
 
 def _brute_triangles(edges):
@@ -205,7 +234,7 @@ def test_host_triangles_brute_force_parity(ray_session, sf_dir):
                                         host_triangles)
 
     pages = read_webpages(sf_dir, seed=42, include_html=False)
-    raw = _host_edges(pages, pages.count(), 3, 64).to_pandas()
+    raw = _host_edges(pages, pages.count(), 3).to_pandas()
     hs = _hash63(raw["src"].tolist())
     hd = _hash63(raw["dst"].tolist())
     h2n = dict(zip(raw["src"], hs))
@@ -219,16 +248,25 @@ def test_host_triangles_brute_force_parity(ray_session, sf_dir):
         assert (r["deg"], r["n_tri"], r["clust_micro"]) == (d, t, cm)
 
 
-def test_host_triangles_partition_independent(ray_session, sf_dir):
+def test_host_triangles_partition_independent(ray_session, sf_dir,
+                                              monkeypatch):
+    """The same rows at two sort fan-outs (``util.PARTITION_BYTES`` at
+    its default and at 2 KiB); the output block count, the final
+    co-group's fan-out, shows that two different fan-outs ran."""
+    from maskmypy_ray import util
     from maskmypy_ray.sources.webpages import read_webpages
     from maskmypy_ray.text.rank import host_triangles
 
     pages = read_webpages(sf_dir, seed=42, include_html=False)
-    a = host_triangles(pages, partitions=64).to_pandas() \
-        .sort_values("host").reset_index(drop=True)
-    b = host_triangles(pages, partitions=7).to_pandas() \
-        .sort_values("host").reset_index(drop=True)
-    assert (a.values == b.values).all()
+    runs, blocks = [], []
+    for value in (None, 2048):
+        monkeypatch.setattr(util, "PARTITION_BYTES", value)
+        out = host_triangles(pages).materialize()
+        blocks.append(out.num_blocks())
+        runs.append(out.to_pandas().sort_values("host")
+                    .reset_index(drop=True))
+    assert blocks[0] < blocks[1]
+    assert (runs[0].values == runs[1].values).all()
 
 
 def test_connected_components_long_path_pointer_jumping(ray_session):

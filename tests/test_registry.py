@@ -1,9 +1,13 @@
 """The query registry's own invariants, checked without Ray: every row
 and part names a registered operator, gated rows are gated part by part,
 and each union row's DuckDB oracle has exactly its declared schema
-(bound at sf0.001)."""
+(bound at sf0.001). Two source ratchets ride along: the count of
+``map_groups`` lines, and no ``partitions`` knob on the graph paths."""
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import duckdb
 import pytest
@@ -58,3 +62,27 @@ def test_union_oracle_has_declared_schema(name, con):
     want = [("part", "VARCHAR")] + [
         (f.name, DUCK_TYPES[str(f.type)]) for f in P.ROWS[name].schema]
     assert got == want
+
+
+PKG = Path(P.__file__).parent
+
+
+def test_map_groups_count_only_falls():
+    """Ratchet: lines naming ``map_groups`` in the package never grow
+    back (a keyed shuffle is ``util.segment_map`` / ``cogroup_map``)."""
+    n = sum(line.count("map_groups") > 0 for f in PKG.rglob("*.py")
+            for line in f.read_text().splitlines())
+    assert n <= 60, n
+
+
+@pytest.mark.parametrize("mod", ["text/clusters.py", "analysis/dbscan.py",
+                                 "text/rank.py"])
+def test_graph_paths_take_no_partitions(mod):
+    """The sort fan-out is decided in ``util.segment_map``; the graph
+    paths take no ``partitions`` parameter."""
+    tree = ast.parse((PKG / mod).read_text())
+    named = [getattr(n, "name", "lambda") for n in ast.walk(tree)
+             if isinstance(n, (ast.FunctionDef, ast.Lambda))
+             and "partitions" in [a.arg for a in ast.walk(n.args)
+                                  if isinstance(a, ast.arg)]]
+    assert named == [], named

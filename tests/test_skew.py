@@ -147,17 +147,22 @@ def test_shuffle_plan_output_schema(masked, sf_dir):
     assert len(df) == masked.count()
 
 
-def test_segment_map_keeps_each_key_in_one_kernel_call(ray_session):
+def test_segment_map_keeps_each_key_in_one_kernel_call(ray_session,
+                                                       monkeypatch):
     """More sorted blocks than keys, one hot key: every key's rows reach
     exactly one kernel call, whole, and every output block that has rows
-    carries the declared schema."""
+    carries the declared schema. (4 KiB per partition keeps the 74 kB
+    input at its 8 blocks.)"""
     import os
 
     import pyarrow as pa
     import ray
     import ray.data
 
+    from maskmypy_ray import util
     from maskmypy_ray.util import segment_bounds, segment_map
+
+    monkeypatch.setattr(util, "PARTITION_BYTES", 4096)
 
     rng = np.random.default_rng(11)
     keys = rng.permutation(np.r_[np.full(3000, 7), np.repeat([2, 9, 30], 400)])
@@ -191,6 +196,15 @@ def test_segment_map_empty_block_is_typed():
     from maskmypy_ray.util import segment_map
 
     class Fake:
+        def materialize(self):
+            return self
+
+        def num_blocks(self):
+            return 1
+
+        def size_bytes(self):
+            return 0
+
         def sort(self, key):
             self.key = key
             return self
@@ -207,6 +221,58 @@ def test_segment_map_empty_block_is_typed():
     empty = fake.fn(pa.table({"k": pa.array([], type=pa.int64())}))
     assert empty.schema == schema and empty.num_rows == 0
     assert fake.fn(pa.table({"k": [3]})).to_pydict() == {"k": [3], "n": [3]}
+
+
+def test_segment_map_fan_out_rule(ray_session, monkeypatch):
+    """The sort fan-out is ``max(1, min(blocks, ceil(bytes /
+    PARTITION_BYTES)))``: a 104-block, 458-row union sorts into ONE
+    partition at the default value, and into exactly that many at 512
+    bytes. A lazy input is materialised once; a materialised one is not
+    run again."""
+    import math
+
+    import pyarrow as pa
+    import ray.data
+
+    from maskmypy_ray import util
+    from maskmypy_ray.util import segment_bounds, segment_map
+
+    rng = np.random.default_rng(3)
+    t = pa.table({"k": rng.integers(0, 40, 458), "v": np.arange(458)})
+    schema = pa.schema([("k", pa.int64()), ("n", pa.int64())])
+
+    def kernel(b):
+        k = b.column("k").to_numpy()
+        s, e = segment_bounds(k)
+        return pa.table({"k": k[s], "n": e - s})
+
+    calls = []
+    materialize = ray.data.Dataset.materialize
+
+    def spy(self):
+        calls.append(self)
+        return materialize(self)
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", spy)
+    lazy = ray.data.from_arrow(t.slice(0, 229)).repartition(52).union(
+        ray.data.from_arrow(t.slice(229)).repartition(52))
+    out = segment_map(lazy, "k", kernel, schema)
+    assert calls == [lazy]  # the lazy input ran once, to read its sizes
+    union = materialize(lazy)
+    assert union.num_blocks() == 104 and union.count() == 458
+
+    for value in (None, 512):
+        monkeypatch.setattr(util, "PARTITION_BYTES", value)
+        calls.clear()
+        out = segment_map(union, "k", kernel, schema)
+        assert calls == []  # a materialised input does not run again
+        want = 1 if value is None else \
+            min(104, math.ceil(union.size_bytes() / value))
+        out = materialize(out)
+        assert out.num_blocks() == want
+        got = out.to_pandas().groupby("k")["n"].sum()
+        assert got.to_dict() == t.to_pandas()["k"].value_counts().to_dict()
+    assert want > 1
 
 
 def _cogroup_sides(ray):
@@ -231,17 +297,22 @@ def _cogroup_sides(ray):
     return sides, schemas
 
 
-def test_cogroup_map_three_sides_one_call_per_key(ray_session):
+def test_cogroup_map_three_sides_one_call_per_key(ray_session,
+                                                  monkeypatch):
     """More blocks than keys, one hot key: every key's rows from every
     side reach exactly one kernel call, and each side's table carries
     its declared schema (the int32 key side arrives as int64, columns
-    in declared order)."""
+    in declared order). (4 KiB per partition keeps the union at its 12
+    blocks.)"""
     import os
 
     import pyarrow as pa
     import ray
 
+    from maskmypy_ray import util
     from maskmypy_ray.util import cogroup_map
+
+    monkeypatch.setattr(util, "PARTITION_BYTES", 4096)
 
     sides, schemas = _cogroup_sides(ray_session)
     out_schema = pa.schema([("k", pa.int64()), ("call", pa.int64()),
