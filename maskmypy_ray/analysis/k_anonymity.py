@@ -35,7 +35,7 @@ import pyarrow as pa
 from ..geokernels.cells import (MAX_PAIRS, cell_of_xy, cover_circle_xy,
                                halo_of_xy)
 from ..geokernels.pip import PolygonSet
-from ..util import segment_map
+from ..util import flat_ranges, segment_map
 
 DEFAULT_CELL_M = 500.0
 
@@ -467,18 +467,6 @@ class ArealKEstimator:
         )
         self.key_col = key_col
         self.areas = np.array([self.ps.area(i) for i in range(self.ps.n)])
-        # flat per-edge (p, q) vertex arrays across all rings
-        starts = self.ps.starts
-        self.edge_px = self.ps.vx
-        self.edge_py = self.ps.vy
-        self.edge_qx = np.empty_like(self.ps.vx)
-        self.edge_qy = np.empty_like(self.ps.vy)
-        for i in range(self.ps.n):
-            s, e = starts[i], starts[i + 1]
-            self.edge_qx[s:e] = np.roll(self.ps.vx[s:e], -1)
-            self.edge_qy[s:e] = np.roll(self.ps.vy[s:e], -1)
-        self.edge_start = starts[:-1]
-        self.edge_counts = np.diff(starts)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         keys = batch.column(self.key_col).to_numpy(zero_copy_only=False)
@@ -486,27 +474,24 @@ class ArealKEstimator:
         my = batch.column("my").to_numpy(zero_copy_only=False)
         d = batch.column("_distance").to_numpy(zero_copy_only=False)
         acc = np.zeros(len(mx), dtype=np.float64)
-        bb = self.ps.bbox
-        if self.ps.pops is not None and len(mx):
-            ov = ((bb[None, :, 0] <= (mx + d)[:, None])
-                  & (bb[None, :, 2] >= (mx - d)[:, None])
-                  & (bb[None, :, 1] <= (my + d)[:, None])
-                  & (bb[None, :, 3] >= (my - d)[:, None])
+        ps = self.ps
+        x0, y0, x1, y1 = ps.bbox
+        if ps.pops is not None and len(mx):
+            ov = ((x0[None, :] <= (mx + d)[:, None])
+                  & (x1[None, :] >= (mx - d)[:, None])
+                  & (y0[None, :] <= (my + d)[:, None])
+                  & (y1[None, :] >= (my - d)[:, None])
                   & (self.areas > 0)[None, :])
             pj, pi = np.nonzero(ov)
             if len(pi):
-                ec = self.edge_counts[pi]
-                tot = int(ec.sum())
+                ec = ps.counts[pi]
                 pstarts = np.concatenate([[0], np.cumsum(ec)])
-                flat = np.arange(tot, dtype=np.int64) \
-                    - np.repeat(pstarts[:-1], ec) + np.repeat(self.edge_start[pi], ec)
+                flat = flat_ranges(ps.starts[pi], ec)
                 eop = np.repeat(np.arange(len(pi)), ec)  # edge -> pair
                 cxe = mx[pj][eop]
                 cye = my[pj][eop]
-                contrib = _edge_contrib(self.edge_px[flat] - cxe,
-                                        self.edge_py[flat] - cye,
-                                        self.edge_qx[flat] - cxe,
-                                        self.edge_qy[flat] - cye,
+                contrib = _edge_contrib(ps.vx[flat] - cxe, ps.vy[flat] - cye,
+                                        ps.qx[flat] - cxe, ps.qy[flat] - cye,
                                         d[pj][eop])
                 pair_area = np.abs(np.add.reduceat(contrib, pstarts[:-1]))
                 np.add.at(acc, pj, self.ps.pops[pi] * (pair_area / self.areas[pi]))

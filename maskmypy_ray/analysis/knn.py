@@ -55,7 +55,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..geokernels.cells import MAX_PAIRS, cell_of_xy, neighbors_xy
-from ..util import segment_bounds
+from ..util import flat_ranges, segment_bounds
 from .k_anonymity import BROADCAST_ADDR_LIMIT, _TableDS
 
 DEFAULT_KNN_CELL_M = 500.0
@@ -158,8 +158,7 @@ def _knn_batch(idx, mx, my, keys, k: int):
         reps, starts = cnt[sel], lo[sel]
         pts = np.repeat(pidx_block[sel], reps)
         # flat candidate positions: per-block ranges starts..starts+reps
-        off = np.concatenate(([0], np.cumsum(reps)))[:-1]
-        cand = np.repeat(starts - off, reps) + np.arange(reps.sum())
+        cand = flat_ranges(starts, reps)
         dx = px[pts] - ax[cand]
         dy = py[pts] - ay[cand]
         seen += np.bincount(pts, minlength=len(unres))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .. import rng
 from ..constants import X_MAX, X_MIN, Y_MAX, Y_MIN
+from ..util import flat_ranges
 
 
 class RoadGraph:
@@ -136,10 +137,7 @@ class RoadGraph:
         best_d2 = np.full(n, np.inf)
         total = int(cnt.sum())
         if total:
-            starts = np.concatenate([[0], np.cumsum(cnt)])
-            flat = np.arange(total, dtype=np.int64) \
-                - np.repeat(starts[:-1], cnt) + np.repeat(lo, cnt)
-            cand = self._grid_order[flat]
+            cand = self._grid_order[flat_ranges(lo, cnt)]
             crow = np.repeat(row, cnt)
             if allowed is not None:
                 ok = allowed[cand]

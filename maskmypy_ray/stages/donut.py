@@ -140,7 +140,10 @@ def contained_mask_arrays(ps: PolygonSet, keys: np.ndarray, x: np.ndarray,
     points that exhausted ``max_rounds`` (kept at their original coords —
     callers mark them UNMASKED). Output coord dtype follows the input
     ``x``/``y`` dtype, so the fused float32 bench path stays narrow while
-    the float64 driver queries are bit-identical to round 2.
+    the float64 driver queries are bit-identical to round 2. Each round
+    is one :meth:`PolygonSet.locate`, a fixed number of numpy calls
+    however many polygons or pending points there are (up to a pass of
+    ``cells.MAX_PAIRS`` rows), so the long retry tail costs little.
     """
     n = len(x)
     orig_pid = ps.locate(x, y)

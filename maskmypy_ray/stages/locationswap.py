@@ -26,6 +26,7 @@ import pyarrow as pa
 
 from .. import rng
 from ..geokernels.cells import cell_of_xy, cover_circle_xy
+from ..util import flat_ranges
 
 
 class AddressIndex:
@@ -92,11 +93,7 @@ class LocationSwapper:
         row, lo, cnt = row[nz], lo[nz], cnt[nz]
         total = int(cnt.sum())
         if total:
-            # flat gather of all slices: positions lo_k .. lo_k+cnt_k-1
-            starts = np.concatenate([[0], np.cumsum(cnt)])
-            flat = np.arange(total, dtype=np.int64) \
-                - np.repeat(starts[:-1], cnt) + np.repeat(lo, cnt)
-            cand = self.idx._order[flat]
+            cand = self.idx._order[flat_ranges(lo, cnt)]
             crow = np.repeat(row, cnt)
             d2 = (self.idx.ax[cand] - x[crow]) ** 2 + (self.idx.ay[cand] - y[crow]) ** 2
             ok = (d2 > low2) & (d2 <= high2)

@@ -94,8 +94,9 @@ def zonal_stats(raster_ds, w: int = RASTER_W, h: int = RASTER_H,
     rw, rh = _cell_size(w, h)
 
     def assign(b: pa.Table) -> pa.Table:
-        # PolygonSet is synthesized from constants (24 rectangles) —
-        # cheaper to rebuild per task than to broadcast
+        # PolygonSet is synthesized from constants (24 rectangles): its
+        # grid index compiles in under a millisecond, cheaper per task
+        # than a broadcast; locate is one vectorized pass over the centers
         ps = boundary_polygon_set(seed)
         row = b.column("cell_row").to_numpy(zero_copy_only=False)
         col = b.column("cell_col").to_numpy(zero_copy_only=False)

@@ -347,20 +347,26 @@ def domain_stats_partial_batch(batch: pa.Table) -> pa.Table:
     })
 
 
+DOMAIN_STATS_SCHEMA = pa.schema({"host": pa.string(), "n_pages": pa.int64(),
+                                  "n_chars": pa.int64()})
+
+
+def _domain_stats_block(t: pa.Table) -> pa.Table:
+    """Sum the per-batch partials of each host in a ``host``-sorted block."""
+    g = t.group_by("host").aggregate([("n_pages", "sum"), ("n_chars", "sum")])
+    return pa.table([g.column("host"), g.column("n_pages_sum"),
+                     g.column("n_chars_sum")], schema=DOMAIN_STATS_SCHEMA)
+
+
 def domain_stats(ds):
-    """(host, n_pages, n_chars) per URL host, pre-aggregated before the
-    one tiny groupby (shuffle = hosts x blocks)."""
-    from ray.data.aggregate import Sum
+    """(host, n_pages, n_chars) per URL host: per-batch partial sums, then
+    one :func:`util.segment_map` on ``host`` with a ``group_by`` sum
+    kernel. (A Ray ``groupby().aggregate`` here hashed into as many
+    partitions as blocks and sent its empty ones on column-less.)"""
+    from ..util import segment_map
 
     part = ds.map_batches(domain_stats_partial_batch, batch_format="pyarrow")
-    return part.groupby("host").aggregate(
-        Sum("n_pages", alias_name="n_pages"),
-        Sum("n_chars", alias_name="n_chars"),
-    ).map_batches(lambda b: pa.table({
-        "host": b.column("host"),
-        "n_pages": b.column("n_pages"),
-        "n_chars": b.column("n_chars"),
-    }), batch_format="pyarrow")
+    return segment_map(part, "host", _domain_stats_block, DOMAIN_STATS_SCHEMA)
 
 
 SAMPLE_K_STREAM = 911  # rng stream registry: fixed-k uniform sampling

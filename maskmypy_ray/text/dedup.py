@@ -28,6 +28,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..rng import mix32
+from ..util import flat_ranges
 from .grams import (TOKEN_RE, band_keys, distinct_per_doc, gram_hashes_batch,
                     minhash_signatures, token_codes_batch)
 
@@ -178,17 +179,6 @@ LSH_PARTITIONS = 64
 LSH_BROADCAST_VERIFY_MAX_PAIRS = 2_000_000
 
 
-def _segment_gather(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Indices covering [starts[i], starts[i]+lens[i]) per segment i,
-    concatenated — one repeat + one arange, no Python loop."""
-    total = int(lens.sum())
-    if not total:
-        return np.array([], dtype=np.int64)
-    shift = np.concatenate([np.zeros(1, dtype=np.int64),
-                            np.cumsum(lens)[:-1]])
-    return np.repeat(starts - shift, lens) + np.arange(total, dtype=np.int64)
-
-
 def _cand_shingles_ref(ds, cand_docs_ref, text_col: str, ngram: int):
     """(sorted candidate doc ids, gram bounds, concatenated distinct
     gram hashes) compiled in a Ray task — the broadcast side of the
@@ -241,7 +231,7 @@ def _cand_shingles_ref(ds, cand_docs_ref, text_col: str, ngram: int):
         order = np.argsort(ids, kind="stable")  # each doc in ONE block
         starts = np.concatenate([np.zeros(1, dtype=np.int64),
                                  np.cumsum(lens)])[:-1]
-        idx = _segment_gather(starts[order], lens[order])
+        idx = flat_ranges(starts[order], lens[order])
         bounds = np.concatenate([np.zeros(1, dtype=np.int64),
                                  np.cumsum(lens[order])])
         return ids[order], bounds, flat[idx]
@@ -277,9 +267,9 @@ def _verify_pairs_broadcast(ds, uniq, cand_docs_ref, threshold: float,
         lb = bounds_[ib + 1] - bounds_[ib]
         pid = np.arange(n_pairs, dtype=np.int64)
         pa_ = np.repeat(pid, la) * (1 << 32) \
-            + grams_[_segment_gather(bounds_[ia], la)]
+            + grams_[flat_ranges(bounds_[ia], la)]
         pb_ = np.repeat(pid, lb) * (1 << 32) \
-            + grams_[_segment_gather(bounds_[ib], lb)]
+            + grams_[flat_ranges(bounds_[ib], lb)]
         inter = np.intersect1d(pa_, pb_, assume_unique=True)
         i_cnt = np.bincount(inter >> 32, minlength=n_pairs)
         union = la + lb - i_cnt

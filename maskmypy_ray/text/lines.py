@@ -25,6 +25,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..rng import sql_substream, substream
+from ..util import flat_ranges
 from .grams import TOKEN_RE
 
 LINES_STREAM = 916  # rng stream registry: line-structure derivation
@@ -148,10 +149,7 @@ def dedup_lines(ds, text_col: str = "text", partitions: int = 64):
             all_lines.extend(ls)
         total = int(n_per.sum())
         doc = np.repeat(ids, n_per)
-        bounds = np.concatenate([np.zeros(1, dtype=np.int64),
-                                 np.cumsum(n_per)])
-        idx = (np.arange(total, dtype=np.int64)
-               - np.repeat(bounds[:-1], n_per))
+        idx = flat_ranges(np.zeros(len(ids), dtype=np.int64), n_per)
         arr = np.asarray(all_lines, dtype=object)
         pk = (pd.util.hash_array(arr).astype(np.int64)
               % partitions) if total else np.zeros(0, dtype=np.int64)

@@ -37,6 +37,16 @@ def segment_bounds(keys):
     return starts, np.r_[starts[1:], len(keys)]
 
 
+def flat_ranges(start, count):
+    """Concatenated ``arange(start[i], start[i] + count[i])``: the rows
+    of a CSR's selected segments, in order."""
+    import numpy as np
+
+    ends = np.cumsum(count)
+    return np.arange(ends[-1] if len(ends) else 0, dtype=np.int64) \
+        + np.repeat(start - (ends - count), count)
+
+
 def segment_map(ds, key: str, kernel, schema):
     """``kernel(block)`` over every block of ``ds.sort(key)``, each block
     whole (``batch_size=None``) and in pyarrow: the fine-key group
@@ -177,10 +187,7 @@ def segmented_pair_indices(new):
         z = np.array([], dtype=np.int64)
         return z, z
     ib = np.repeat(np.arange(len(new), dtype=np.int64), local)
-    csum = np.cumsum(local)
-    inner = np.arange(M) - np.repeat(csum - local, local)
-    ia = np.repeat(starts[run], local) + inner
-    return ia, ib
+    return flat_ranges(starts[run], local), ib
 
 
 def pair_ids_ref(pairs_ds, col_a: str, col_b: str):

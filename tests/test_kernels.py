@@ -5,6 +5,7 @@ import pytest
 
 from maskmypy_ray.analysis.k_anonymity import circle_polygon_area_exact
 from maskmypy_ray.geokernels import cells as cells_mod
+from maskmypy_ray.geokernels import pip as pip_mod
 from maskmypy_ray.geokernels.cells import (
     cell_of_xy,
     cell_xy_components,
@@ -113,6 +114,151 @@ def test_pip_locate_nonoverlapping():
 def test_polygon_area():
     ps = PolygonSet([(np.array([0, 2, 2, 0.]), np.array([0, 0, 3, 3.]))])
     assert ps.area(0) == 6.0
+
+
+def _brute_contains(rx, ry, x, y):
+    """The per-edge crossing loop ``PolygonSet.contains`` replaced."""
+    inside = np.zeros(len(x), dtype=bool)
+    qx, qy = np.roll(rx, -1), np.roll(ry, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for ax, ay, bx, by in zip(rx, ry, qx, qy):
+            cond = (ay > y) != (by > y)
+            t = (y - ay) / (by - ay) if by != ay else 0.0
+            inside ^= cond & (x < ax + t * (bx - ax))
+    return inside
+
+
+def _brute_locate(rings, ids, x, y):
+    """The per-polygon loop ``PolygonSet.locate`` replaced: closed bbox
+    test, then the crossing loop; the lowest polygon index wins."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    out = np.full(len(x), -1, dtype=np.int64)
+    for (rx, ry), pid in zip(rings, ids):
+        cand = ((out == -1) & (x >= rx.min()) & (x <= rx.max())
+                & (y >= ry.min()) & (y <= ry.max()))
+        idx = np.flatnonzero(cand)
+        out[idx[_brute_contains(rx, ry, x[idx], y[idx])]] = pid
+    return out
+
+
+def _rect_grid(g, w=1.0, x0=0.0):
+    return [(np.array([x0 + i * w, x0 + i * w + w, x0 + i * w + w, x0 + i * w]),
+             np.array([x0 + j * w, x0 + j * w, x0 + j * w + w, x0 + j * w + w]))
+            for j in range(g) for i in range(g)]
+
+
+def _stars(n, rng):
+    out = []
+    for _ in range(n):
+        k = int(rng.integers(3, 31))
+        ang = np.sort(rng.uniform(0, 2 * np.pi, k))
+        r = rng.uniform(1, 10, k)
+        cx, cy = rng.uniform(0, 60, 2)
+        out.append((cx + r * np.cos(ang), cy + r * np.sin(ang)))
+    return out
+
+
+def _pip_sets():
+    from maskmypy_ray.sources.boundary import boundary_polygon_set
+
+    rng = np.random.default_rng(14)
+    fx = boundary_polygon_set(42)
+    el = (np.array([0, 2, 2, 1, 1, 0.]), np.array([0, 0, 1, 1, 2, 2.]))
+    return {
+        "fixture": ([(fx.vx[s:e], fx.vy[s:e]) for s, e in
+                     zip(fx.starts[:-1], fx.starts[1:])], fx.poly_ids),
+        "grid64": (_rect_grid(64), None),
+        # overlapping: the L, a copy of it, and a square over both
+        "overlap": ([el, el, (np.array([.5, 3, 3, .5]), np.array([.5, .5, 3, 3.]))],
+                    [7, 3, 5]),
+        "stars": (_stars(40, rng), None),
+        # one polygon 2000x the median: the grid's cell cap binds
+        "huge": (_rect_grid(16) + [(np.array([-1e3, 1e3, 1e3, -1e3]),
+                                    np.array([-1e3, -1e3, 1e3, 1e3]))]
+                 + _rect_grid(3, w=2.0, x0=400.0), None),
+    }
+
+
+def _pip_points(rings, rng, n):
+    """Uniform points, vertices, points on edges, NaN and inf."""
+    vx = np.concatenate([r[0] for r in rings])
+    vy = np.concatenate([r[1] for r in rings])
+    qx = np.concatenate([np.roll(r[0], -1) for r in rings])
+    qy = np.concatenate([np.roll(r[1], -1) for r in rings])
+    lo, hi = min(vx.min(), vy.min()) - 1, max(vx.max(), vy.max()) + 1
+    x, y = rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
+    k = rng.integers(0, len(vx), n // 4)
+    x[:n // 4], y[:n // 4] = vx[k], vy[k]
+    k = rng.integers(0, len(vx), n // 4)
+    t = rng.random(n // 4)
+    x[n // 4:n // 2] = vx[k] + t * (qx[k] - vx[k])
+    y[n // 4:n // 2] = vy[k] + t * (qy[k] - vy[k])
+    x[-8:-4] = [np.nan, np.inf, -np.inf, 0.5]
+    y[-4:] = [np.nan, np.inf, -np.inf, np.nan]
+    return x, y
+
+
+@pytest.mark.parametrize("name", ["fixture", "grid64", "overlap", "stars", "huge"])
+def test_pip_locate_matches_per_polygon_loop(name):
+    rings, ids = _pip_sets()[name]
+    ps = PolygonSet(rings, poly_ids=ids)
+    ids = ps.poly_ids
+    assert ps.g_n.prod() <= pip_mod._GRID_SPLIT ** 2 * ps.n
+    rng = np.random.default_rng(len(name))
+    x, y = _pip_points(rings, rng, 2000)
+    for px, py in ((x, y), (x.astype(np.float32), y.astype(np.float32)),
+                   (x.astype(np.float32).astype(np.float64), y)):
+        assert np.array_equal(ps.locate(px, py), _brute_locate(rings, ids, px, py))
+    for i in rng.integers(0, ps.n, 4):
+        rx, ry = rings[i]
+        assert np.array_equal(ps.contains(int(i), x, y), _brute_contains(
+            np.asarray(rx, float), np.asarray(ry, float), x, y))
+
+
+def test_pip_overlap_lowest_index_wins():
+    rings, ids = _pip_sets()["overlap"]
+    ps = PolygonSet(rings, poly_ids=ids)
+    # inside the L and the square: polygon 0 (id 7) wins over 1 and 2
+    assert list(ps.locate(np.array([0.75, 2.5, 1.5]),
+                          np.array([0.75, 2.5, 1.5]))) == [7, 5, 5]
+
+
+def test_pip_empty_inputs():
+    ps = PolygonSet(_rect_grid(3))
+    assert ps.locate(np.empty(0), np.empty(0)).dtype == np.int64
+    assert len(ps.locate(np.empty(0), np.empty(0))) == 0
+    assert len(ps.contains(0, np.empty(0), np.empty(0))) == 0
+    none = PolygonSet([])
+    assert list(none.locate(np.array([0.5, np.nan]), np.array([0.5, 1.0]))) == [-1, -1]
+    none.validate_nonoverlap()
+
+
+@pytest.mark.parametrize("max_pairs", [1, 7, 4_000_000])
+def test_pip_chunked_passes_match(monkeypatch, max_pairs):
+    """Any pass bound gives the unchunked answer (a point whose rows
+    alone exceed the bound is a pass of its own)."""
+    rings, ids = _pip_sets()["stars"]
+    rings = rings + _rect_grid(8, w=7.0)
+    x, y = _pip_points(rings, np.random.default_rng(9), 300)
+    want = _brute_locate(rings, np.arange(len(rings)), x, y)
+    ps = PolygonSet(rings)
+    monkeypatch.setattr(cells_mod, "MAX_PAIRS", max_pairs)
+    assert np.array_equal(ps.locate(x, y), want)
+    assert np.array_equal(ps.contains(3, x, y),
+                          _brute_contains(rings[3][0], rings[3][1], x, y))
+
+
+@pytest.mark.parametrize("max_pairs", [1, 7, 4_000_000])
+def test_pip_validate_nonoverlap_chunked(monkeypatch, max_pairs):
+    """Any bound on the same-cell pairs per run of cells finds the same
+    first overlapping pair, and passes a shared-border grid."""
+    monkeypatch.setattr(cells_mod, "MAX_PAIRS", max_pairs)
+    PolygonSet(_rect_grid(16)).validate_nonoverlap()
+    rings = _rect_grid(8) + [(np.array([2.5, 5.5, 5.5, 2.5]),
+                              np.array([2.5, 2.5, 5.5, 5.5]))]
+    with pytest.raises(ValueError, match="polygons 18 and 64 overlap"):
+        PolygonSet(rings).validate_nonoverlap()
 
 
 def test_circle_polygon_area_exact_cases():

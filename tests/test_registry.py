@@ -1,12 +1,15 @@
 """The query registry's own invariants, checked without Ray: every row
 and part names a registered operator, gated rows are gated part by part,
 and each union row's DuckDB oracle has exactly its declared schema
-(bound at sf0.001). Two source ratchets ride along: the count of
-``map_groups`` lines, and no ``partitions`` knob on the graph paths."""
+(bound at sf0.001). Three source ratchets ride along: the count of
+``map_groups`` lines, no ``partitions`` knob on the graph paths, and no
+per-polygon or per-edge loop in the point-in-polygon kernel."""
 
 from __future__ import annotations
 
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
 import duckdb
@@ -86,3 +89,29 @@ def test_graph_paths_take_no_partitions(mod):
              and "partitions" in [a.arg for a in ast.walk(n.args)
                                   if isinstance(a, ast.arg)]]
     assert named == [], named
+
+
+def test_pip_loops_over_no_polygon_or_edge():
+    """``PolygonSet.locate`` and ``contains`` are vectorized passes: their
+    only loop runs over ``_chunks`` passes, never ``range(self.n)`` or a
+    ring's edges; the grid index is compiled in ``__init__`` (so
+    ``ray.put`` ships it) and a query adds no state."""
+    import numpy as np
+
+    from maskmypy_ray.geokernels.pip import PolygonSet
+
+    for fn in (PolygonSet.locate, PolygonSet.contains,
+               PolygonSet._odd_crossings):
+        src = textwrap.dedent(inspect.getsource(fn))
+        assert "range(self.n)" not in src, fn.__name__
+        loops = [n for n in ast.walk(ast.parse(src))
+                 if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+        assert all(isinstance(n, ast.For) and "_chunks(" in ast.unparse(n.iter)
+                   for n in loops), fn.__name__
+    assert "self._compile_grid()" in inspect.getsource(PolygonSet.__init__)
+    ps = PolygonSet([(np.array([0, 1, 1, 0.]), np.array([0, 0, 1, 1.]))])
+    state = set(vars(ps))
+    assert {"ent_poly", "cell_start", "nh_edges", "cell_cost"} <= state
+    ps.locate(np.array([0.5]), np.array([0.5]))
+    ps.contains(0, np.array([0.5]), np.array([0.5]))
+    assert set(vars(ps)) == state
