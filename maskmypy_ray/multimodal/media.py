@@ -16,7 +16,6 @@ from __future__ import annotations
 from hashlib import md5
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 
@@ -216,98 +215,41 @@ def phash_with_perturbed_batch(batch: pa.Table,
     })
 
 
-def media_phash_pairs(ds, media_col: str = "html",
-                      n_parts: int = 32):
+def media_phash_pairs(ds, media_col: str = "html"):
     """Image near-duplicate pairs via banded-hamming LSH over the
-    perceptual hash: (url_a, url_b, hamming) with hamming ≤ 4.
+    perceptual hash: (url_a, url_b, hamming) with url_a < url_b and
+    hamming ≤ PHASH_MAX_HAMMING.
 
-    Scale shape: each hash row fans out to PHASH_BANDS band rows
-    routed by ``hash(band, value) % n_parts`` — ONE coarse shuffle;
-    candidate pairs are generated per partition with a vectorized
-    sort + run-length kernel (collide-only, never all-pairs) and
-    hamming-verified with a numpy byte compare in the same kernel, so
-    nothing but final pairs leaves a partition. Pair dedup (a pair can
-    collide in several bands, which may land in different partitions)
-    is a second coarse ``hash(pair) % 16`` partition drop_duplicates —
-    pairs are bounded by the perturbed fraction, never corpus-sized."""
-    import pyarrow.compute as pc
+    Each hash row packs its 64 '0'/'1' characters into one uint64 and
+    fans out to PHASH_BANDS ``(band, val, url, phash)`` rows, ``val``
+    being the band's 16 bits; :func:`maskmypy_ray.lsh.lsh_pairs` pairs
+    the urls that share a (band, val) bucket in one ``segment_map`` on
+    ``val``, Hamming-filters each pair on the packed hashes (one
+    vectorized popcount, no loop per bucket or row) and dedups the pairs
+    that collided in several bands."""
+    from ..lsh import lsh_pairs
 
     def to_bands(b: pa.Table) -> pa.Table:
-        urls = np.asarray(b.column("url").to_pylist(), dtype=object)
-        ph = np.asarray(b.column("phash").to_pylist(), dtype=object)
-        n = len(urls)
-        out_u, out_h, out_band, out_val = [], [], [], []
-        for bi in range(PHASH_BANDS):
-            out_u.append(urls)
-            out_h.append(ph)
-            out_band.append(np.full(n, bi, dtype=np.int64))
-            out_val.append(np.asarray(
-                [s[16 * bi:16 * (bi + 1)] for s in ph], dtype=object))
-        band = np.concatenate(out_band)
-        val = np.concatenate(out_val)
-        # md5-based routing: Python's builtin hash is salted per
-        # process and would scatter one bucket across partitions
-        key = np.asarray(
-            [int.from_bytes(md5(f"{a}|{v}".encode()).digest()[:8],
-                            "little") % n_parts
-             for a, v in zip(band, val)], dtype=np.int64)
+        n = b.num_rows
+        bits = np.frombuffer("".join(b.column("phash").to_pylist())
+                             .encode("ascii"), dtype=np.uint8) \
+            .reshape(n, 64) - 48
+        h = np.packbits(bits, axis=1).view(">u8").ravel().astype(np.uint64)
+        shift = np.uint64(16) * (PHASH_BANDS - 1
+                                 - np.arange(PHASH_BANDS, dtype=np.uint64))
+        val = (h[None, :] >> shift[:, None]) & np.uint64(0xFFFF)
         return pa.table({
-            "url": pa.array(np.concatenate(out_u), type=pa.string()),
-            "phash": pa.array(np.concatenate(out_h), type=pa.string()),
-            "band": pa.array(band, type=pa.int64()),
-            "val": pa.array(val, type=pa.string()),
-            "bkey": pa.array(key, type=pa.int64()),
-        })
-
-    def pairs_in_partition(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["band", "val", "url"], kind="mergesort")
-        ua, ub, hd = [], [], []
-        for (_, _), grp in g.groupby(["band", "val"], sort=False):
-            if len(grp) < 2:
-                continue
-            us = grp["url"].to_numpy()
-            hs = grp["phash"].to_numpy()
-            mat = np.frombuffer("".join(hs).encode("ascii"),
-                                dtype=np.uint8).reshape(len(us), 64)
-            for i in range(len(us)):
-                d = (mat[i + 1:] != mat[i]).sum(axis=1)
-                ok = np.flatnonzero(d <= PHASH_MAX_HAMMING)
-                for k in ok:
-                    a, bb = us[i], us[i + 1 + k]
-                    if a > bb:
-                        a, bb = bb, a
-                    ua.append(a)
-                    ub.append(bb)
-                    hd.append(int(d[k]))
-        return pd.DataFrame({"url_a": ua, "url_b": ub,
-                             "hamming": np.array(hd, dtype=np.int64)})
-
-    def dedup_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["url_a", "url_b"])[
-            ["url_a", "url_b", "hamming"]]
-
-    def to_arrow(d: pd.DataFrame) -> pa.Table:
-        return pa.table({
-            "url_a": pa.array(d["url_a"].to_numpy(dtype=object),
-                              type=pa.string()),
-            "url_b": pa.array(d["url_b"].to_numpy(dtype=object),
-                              type=pa.string()),
-            "hamming": pa.array(d["hamming"].to_numpy(), type=pa.int64()),
+            "band": pa.array(np.repeat(np.arange(PHASH_BANDS), n)),
+            "val": pa.array(val.ravel().astype(np.int64)),
+            "url": pa.concat_arrays([b.column("url").combine_chunks()]
+                                    * PHASH_BANDS),
+            "phash": pa.array(np.tile(h, PHASH_BANDS), type=pa.uint64()),
         })
 
     hashes = ds.map_batches(
         lambda b: phash_with_perturbed_batch(b, media_col),
         batch_format="pyarrow")
-    bands = hashes.map_batches(to_bands, batch_format="pyarrow")
-    cand = bands.groupby("bkey").map_groups(
-        pairs_in_partition, batch_format="pandas")
-
-    def pkey(d: pd.DataFrame) -> pd.DataFrame:
-        d = d.copy()
-        d["pk"] = pd.util.hash_pandas_object(
-            d["url_a"] + "|" + d["url_b"], index=False).astype(np.int64) % 16
-        return d
-
-    return cand.map_batches(pkey, batch_format="pandas") \
-        .groupby("pk").map_groups(dedup_pairs, batch_format="pandas") \
-        .map_batches(to_arrow, batch_format="pandas")
+    return lsh_pairs(hashes.map_batches(to_bands, batch_format="pyarrow"),
+                     "val", "url", ("url_a", "url_b"), band="band",
+                     id_type=pa.string(), hash_col="phash",
+                     max_hamming=PHASH_MAX_HAMMING)

@@ -16,7 +16,6 @@ Hyperplanes draw from the engine's counter RNG — deterministic.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..rng import uniform01
@@ -59,12 +58,49 @@ class TopKScorer:
         })
 
 
+TOPK_SCHEMA = pa.schema([("query_id", pa.int64()), ("vec_id", pa.int64()),
+                         ("sim", pa.float64()), ("rank", pa.int64())])
+
+
+def _head_k_block(t: pa.Table, k: int, exclude_self: bool) -> pa.Table:
+    """The ``k`` best rows of every query in one block sorted by
+    ``query_id``: sim descending, then vec_id ascending, with a 1-based
+    ``rank``; ``exclude_self`` drops each query's own vector first."""
+    import pyarrow.compute as pc
+
+    from ..util import run_local_ranks, segment_bounds
+
+    if exclude_self:
+        t = t.filter(pc.not_equal(t.column("vec_id"), t.column("query_id")))
+    t = t.take(pc.sort_indices(t, sort_keys=[
+        ("query_id", "ascending"), ("sim", "descending"),
+        ("vec_id", "ascending")]))
+    starts, _ = segment_bounds(t.column("query_id").to_numpy())
+    new = np.zeros(t.num_rows, dtype=bool)
+    new[starts] = True
+    rank = run_local_ranks(new)
+    keep = rank < k
+    return t.filter(pa.array(keep)).append_column(
+        "rank", pa.array(rank[keep] + 1, type=pa.int64())).cast(TOPK_SCHEMA)
+
+
+def _head_k(scores, k: int, exclude_self: bool = False):
+    """Per-query head-k of a (query_id, vec_id, sim) score table: one
+    ``segment_map`` on ``query_id`` with :func:`_head_k_block`."""
+    from functools import partial
+
+    from ..util import segment_map
+
+    return segment_map(scores, "query_id", partial(
+        _head_k_block, k=k, exclude_self=exclude_self), TOPK_SCHEMA)
+
+
 def cosine_topk(ds, query_ids: list[int], k: int = 10, exclude_self: bool = True):
     """Exact top-k cosine neighbors of the given vec_ids.
 
     Per-batch partial top-k would cut the shuffle further; at driver
-    scales the full score table is tiny, so a ``groupby(query_id)``
-    head-k suffices.
+    scales the full score table is tiny, so one per-query head-k
+    (:func:`_head_k`) suffices.
     """
     import ray
 
@@ -84,15 +120,7 @@ def cosine_topk(ds, query_ids: list[int], k: int = 10, exclude_self: bool = True
         batch_format="pyarrow",
     )
 
-    def head_k(g: pd.DataFrame) -> pd.DataFrame:
-        if exclude_self:
-            g = g[g["vec_id"] != g["query_id"].iloc[0]]
-        g = g.sort_values(["sim", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return scores.groupby("query_id").map_groups(head_k, batch_format="pandas")
+    return _head_k(scores, k, exclude_self)
 
 
 def _normalized_matrix_ref(ds):
@@ -238,358 +266,97 @@ def with_perturbed_copies(ds, every: int = 10, target_cos: float = 0.95,
     return ds.map_batches(perturb, batch_format="pyarrow")
 
 
-# Below this many candidate pairs the exact-cosine verification runs
-# as one broadcast map instead of the two-sided partition hash-merge
-# (the candidate vectors' normalized matrix lives once in the object
-# store — bounded by min(2*pairs, corpus) rows).
-LSH_BROADCAST_VERIFY_MAX_PAIRS = 2_000_000
+def _unit_rows(b: pa.Table) -> pa.Table:
+    """(vec_id, L2-normalized float64 embedding): the verify payload."""
+    ids, emb = _embeddings_matrix(b)
+    m = _normalize(emb)
+    n, dim = m.shape
+    return pa.table({
+        "vec_id": pa.array(ids, type=pa.int64()),
+        "embedding": pa.ListArray.from_arrays(
+            pa.array(np.arange(0, n * dim + 1, max(dim, 1), dtype=np.int32)),
+            pa.array(m.ravel())),
+    })
 
 
-def _cand_vectors_ref(ds, member_ref):
-    """(sorted candidate vec ids, normalized float64 matrix) compiled
-    in a Ray task — the broadcast side of the cosine fast path."""
-    import ray
-
-    from ..util import sorted_member_mask
-
-    def rows(b: pa.Table) -> pa.Table:
-        mem = ray.get(member_ref)
-        ids = b.column("vec_id").to_numpy(zero_copy_only=False)
-        keep = sorted_member_mask(mem, ids)
-        if not keep.any():
-            return pa.table({"vec_id": pa.array([], type=pa.int64()),
-                             "embedding": pa.array(
-                                 [], type=pa.list_(pa.float64()))})
-        return b.filter(pa.array(keep))
-
-    filtered = ds.select_columns(["vec_id", "embedding"]).map_batches(
-        rows, batch_format="pyarrow")
-
-    @ray.remote(num_cpus=1)
-    def compile_side(*blocks):
-        tbls = [b if isinstance(b, pa.Table) else pa.Table.from_pandas(b)
-                for b in blocks]
-        tbls = [t for t in tbls if len(t)]
-        if not tbls:
-            return np.array([], dtype=np.int64), \
-                np.zeros((0, 0), dtype=np.float64)
-        t = pa.concat_tables(tbls)
-        ids = t.column("vec_id").to_numpy(zero_copy_only=False)
-        m = _normalize(np.stack(
-            t.column("embedding").to_numpy(zero_copy_only=False))
-            .astype(np.float64))
-        order = np.argsort(ids, kind="stable")  # ids unique across blocks
-        return ids[order], m[order]
-
-    return compile_side.remote(*filtered.to_arrow_refs())
-
-
-def _verify_cosine_broadcast(ds, uniq, threshold: float):
-    """Exact-cosine verification of the materialized pair list with ONE
-    stateless map against the broadcast candidate matrix — bit-
-    identical to the partition hash-merge plan."""
-    import ray
-
-    from ..util import pair_ids_ref
-
-    vec_ref = _cand_vectors_ref(ds, pair_ids_ref(uniq, "vec_a", "vec_b"))
-
-    def verify(b: pa.Table) -> pa.Table:
-        ids_, m_ = ray.get(vec_ref)
-        va = b.column("vec_a").to_numpy(zero_copy_only=False)
-        vb = b.column("vec_b").to_numpy(zero_copy_only=False)
-        empty = pa.table({"vec_a": pa.array([], type=pa.int64()),
-                          "vec_b": pa.array([], type=pa.int64()),
-                          "sim": pa.array([], type=pa.float64())})
-        if not len(va) or not len(ids_):
-            return empty
-        ia = np.searchsorted(ids_, va)
-        ib = np.searchsorted(ids_, vb)
-        sims = np.einsum("ij,ij->i", m_[ia], m_[ib])
-        ok = sims >= threshold
-        return pa.table({
-            "vec_a": pa.array(va[ok], type=pa.int64()),
-            "vec_b": pa.array(vb[ok], type=pa.int64()),
-            "sim": pa.array(sims[ok], type=pa.float64()),
-        })
-
-    return uniq.map_batches(verify, batch_format="pyarrow")
+def _cosine_scores(pay: pa.Table, ia: np.ndarray, ib: np.ndarray):
+    """Row-wise dot products of the pairs' unit vectors."""
+    e = pay.column("embedding").combine_chunks()
+    m = e.flatten().to_numpy().reshape(len(e), -1)
+    return np.einsum("ij,ij->i", m[ia], m[ib])
 
 
 def cosine_pairs_lsh(ds, threshold: float = 0.4,
                      bits_per_band: int | None = None,
-                     n_bands: int | None = None, seed: int = 42,
-                     shuffle_blocks: int = 32):
+                     n_bands: int | None = None, seed: int = 42):
     """Cosine-threshold similarity join via banded sign-LSH — the
     embedding twin of :func:`maskmypy_ray.text.dedup.minhash_lsh_pairs`
     and the scale path beside the broadcast all-pairs
-    :func:`cosine_pairs` (VERDICT r02 #3).
+    :func:`cosine_pairs`. Returns Dataset[(vec_a, vec_b, sim)] with
+    vec_a < vec_b and sim >= ``threshold``.
 
-    Shape: every vector is hashed by ``n_bands`` independent groups of
-    ``bits_per_band`` hyperplane signs and exploded into one row per
-    band; ONE ``groupby(band, bucket)`` co-locates collision candidates;
-    each group verifies exact cosine over its in-bucket pairs
-    (vectorized matmul); a final ``groupby(vec_a, vec_b)`` dedups pairs
-    that collided in several bands. Nothing visits the driver.
+    Every vector is hashed by ``n_bands`` independent groups of
+    ``bits_per_band`` hyperplane signs and exploded into one
+    ``(bucket, vec_id)`` row per band (``bucket`` packs the band and its
+    sign key; the rows carry no embedding, which would push n_bands x
+    the vector bytes through the shuffle).
+    :func:`maskmypy_ray.lsh.lsh_pairs` pairs the vectors that share a
+    bucket, dedups the pairs and verifies exact cosine over the unit
+    vectors of the candidate members only.
 
     Recall at similarity s per band is ``p^b`` with
     ``p = 1 - arccos(s)/pi``; across bands ``1 - (1 - p^b)^L``.
-    ``bits_per_band``/``n_bands`` default to :func:`auto_lsh_params`
-    (VERDICT r04 #4): the operating point scales with the threshold so
-    the expected random-pair candidate density stays bounded — at the
-    near-dup thresholds LSH exists for (s >= ~0.8, the SemDeDup regime)
-    the auto point is highly selective (s=0.9 -> b=10, L=10, ~1%
-    density); at low thresholds (s <= ~0.5) NO sign-LSH point filters
-    well and the auto choice maximizes selectivity under the band
-    budget while the density log line flags the degradation — prefer
-    the blocked brute-force :func:`cosine_pairs` there.
-
-    Shape (VERDICT r03 #2 — mirrors text.dedup.minhash_lsh_pairs): the
-    band explode carries only (band, key, vec_id) — NOT the embedding,
-    which would push n_bands x the vector bytes through the all-to-all;
-    every shuffle is a coarse ``% P`` partition whose kernel is
-    vectorized pandas (never a per-bucket/per-pair ``map_groups``, whose
-    ~0.4 ms/group Python apply dominates on 1-2-row near-dup buckets).
-    Candidate pairs are verified by a two-sided doc-partition
-    hash-merge: each pair explodes into two per-side rows that meet the
-    (vec_id, embedding) table in a ``vec_id % P`` partition, then the
-    pair partition computes one vectorized row-wise dot product.
-
-    ``shuffle_blocks`` coalesces the band/pair tables before each
-    groupby (see ``text.dedup.minhash_lsh_pairs``): a Ray sort makes
-    in-blocks x out-partitions shuffle objects, so inheriting the map
-    stage's fine block count pays quadratic per-object latency on
-    near-empty objects. Size so each shuffle partition holds
-    ~target_max_block_size of band rows at real scale.
+    ``bits_per_band``/``n_bands`` default to :func:`auto_lsh_params`:
+    the operating point scales with the threshold so the expected
+    random-pair candidate density stays bounded — at the near-dup
+    thresholds LSH exists for (s >= ~0.8, the SemDeDup regime) the auto
+    point is highly selective (s=0.9 -> b=10, L=10, ~1% density); at low
+    thresholds (s <= ~0.5) NO sign-LSH point filters well and the auto
+    choice maximizes selectivity under the band budget while the logged
+    candidate count flags the degradation — prefer the blocked
+    brute-force :func:`cosine_pairs` there.
     """
     import logging
 
-    import ray
+    from ..lsh import lsh_pairs
 
     if bits_per_band is None or n_bands is None:
         auto_b, auto_l = auto_lsh_params(threshold)
         bits_per_band = bits_per_band if bits_per_band is not None else auto_b
         n_bands = n_bands if n_bands is not None else auto_l
     nbits = bits_per_band * n_bands
-    partitions = 64
+    logging.getLogger(__name__).info(
+        "cosine_pairs_lsh: threshold=%.2f, b=%d, L=%d", threshold,
+        bits_per_band, n_bands)
 
     def explode(batch: pa.Table) -> pa.Table:
         # Hyperplanes are a deterministic counter-RNG function of
         # (dim, nbits, seed) — computed lazily from the first batch's
-        # own width and memoized per process (round 5): no ds.take(1)
-        # probe executing the upstream a second time, no broadcast.
+        # own width and memoized per process: no ds.take(1) probe
+        # executing the upstream a second time, no broadcast.
         ids, emb = _embeddings_matrix(batch)
         if not len(ids):
-            return pa.table({
-                "bucket": pa.array([], type=pa.int64()),
-                "vec_id": pa.array([], type=pa.int64()),
-                "pb": pa.array([], type=pa.int64()),
-            })
+            return pa.table({"bucket": pa.array([], type=pa.int64()),
+                             "vec_id": pa.array([], type=pa.int64())})
         pl = _planes_cached(emb.shape[1], nbits, seed)
-        m = _normalize(emb)
-        signs = (m @ pl.T) > 0  # (n, b*L)
+        signs = (_normalize(emb) @ pl.T) > 0  # (n, b*L)
         weights = (1 << np.arange(bits_per_band, dtype=np.int64))
-        n = len(ids)
-        band = np.repeat(np.arange(n_bands, dtype=np.int64), n)
-        key = np.concatenate([
-            signs[:, b * bits_per_band:(b + 1) * bits_per_band]
-            .astype(np.int64) @ weights
-            for b in range(n_bands)]) if n else np.array([], dtype=np.int64)
-        bucket = (band << np.int64(32)) | key
+        key = signs.reshape(len(ids), n_bands, bits_per_band) \
+            .astype(np.int64) @ weights  # (n, L)
+        band = np.arange(n_bands, dtype=np.int64)
         return pa.table({
-            "bucket": pa.array(bucket, type=pa.int64()),
+            "bucket": pa.array(((band[:, None] << np.int64(32)) | key.T)
+                               .ravel(), type=pa.int64()),
             "vec_id": pa.array(np.tile(ids, n_bands), type=pa.int64()),
-            "pb": pa.array((bucket * 1_000_003) % partitions),
         })
 
-    def bucket_pairs_part(g: pd.DataFrame) -> pd.DataFrame:
-        """Intra-bucket candidate pairs with one segmented arange over
-        the sorted partition — no per-bucket Python loop (see
-        util.segmented_pair_indices)."""
-        from ..util import segmented_pair_indices
-
-        g = g.sort_values(["bucket", "vec_id"], kind="mergesort") \
-            .drop_duplicates(["bucket", "vec_id"])
-        ids = g["vec_id"].to_numpy(dtype=np.int64)
-        bk = g["bucket"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        if len(g) > 1:
-            new[1:] = bk[1:] != bk[:-1]
-        ia, ib = segmented_pair_indices(new)
-        a, b = ids[ia], ids[ib]
-        return pd.DataFrame({
-            "vec_a": a, "vec_b": b,
-            "pq": (a * 1_000_003 + b) % partitions,
-        })
-
-    cand = ds.map_batches(explode, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
-        .groupby("pb").map_groups(bucket_pairs_part, batch_format="pandas")
-    # materialized: two consumers below (needs + pair_rows) would
-    # otherwise re-execute the whole candidate generation; the pair
-    # list carries NO vectors (16 bytes/pair), so this checkpoint is
-    # bounded by LSH selectivity, not by corpus size
-    uniq = cand.groupby("pq").map_groups(
-        lambda g: g.drop_duplicates(["vec_a", "vec_b"])[["vec_a", "vec_b"]],
-        batch_format="pandas").materialize()
-    # candidate-pair density is THE LSH health metric (VERDICT r04 #4):
-    # near 1.0 means the banding does no filtering and blocked
-    # brute-force would be cheaper. count() on the materialized
-    # checkpoint is a metadata read.
-    logging.getLogger(__name__).info(
-        "cosine_pairs_lsh: %d candidate pairs at threshold=%.2f "
-        "(b=%d, L=%d)", uniq.count(), threshold, bits_per_band, n_bands)
-
-    # Small-candidate fast path (mirror of minhash_lsh_pairs'): below
-    # the bound, compile the candidate vectors into one broadcast
-    # (sorted ids, normalized matrix) and verify every pair with a
-    # single stateless map — no explode/union, no verify shuffles.
-    # Above it, the two-sided partition hash-merge below carries the
-    # same semantics at any candidate count.
-    if uniq.count() <= LSH_BROADCAST_VERIFY_MAX_PAIRS:
-        return _verify_cosine_broadcast(ds, uniq, threshold)
-
-    dtype = pa.list_(pa.float64())
-
-    # Verify ships each DISTINCT (vec, pair-partition) embedding ONCE —
-    # never one embedding copy per pair side. With c candidate pairs
-    # over v vectors the old per-side replication moved 2c vectors
-    # through two shuffles (LSH banding at low thresholds is weakly
-    # selective, so c >> v: measured 2.5M vector copies for v = 2000 on
-    # the fixture); the needs table is bounded by min(2c, v x P).
-
-    def needs_batch(b: pa.Table) -> pa.Table:
-        va = b.column("vec_a").to_numpy(zero_copy_only=False)
-        vb = b.column("vec_b").to_numpy(zero_copy_only=False)
-        pq = (va * 1_000_003 + vb) % partitions
-        vec = np.concatenate([va, vb])
-        pqs = np.concatenate([pq, pq])
-        # batch-local (vec, pq) dedupe; residual cross-batch dups are
-        # dropped again inside verify_part
-        uk = np.unique(vec * np.int64(partitions) + pqs)
-        vec_u = uk // partitions
-        pq_u = uk % partitions
-        n = len(uk)
-        return pa.table({
-            "vec": pa.array(vec_u, type=pa.int64()),
-            "pq": pa.array(pq_u, type=pa.int64()),
-            "is_need": pa.array(np.ones(n, dtype=np.int8)),
-            "embedding": pa.array([[]] * n, type=dtype),
-            "pd_": pa.array(vec_u % partitions),
-        })
-
-    needs = uniq.map_batches(needs_batch, batch_format="pyarrow")
-
-    from ..util import pair_ids_ref, sorted_member_mask
-
-    member_ref = pair_ids_ref(uniq, "vec_a", "vec_b")
-
-    def emb_rows(b: pa.Table) -> pa.Table:
-        # Semi-join against the broadcast candidate-vector set: only
-        # vectors appearing in some candidate pair survive attach_part's
-        # inner merge, so filtering here — BEFORE the float64 cast and
-        # the pd_ all-to-all — makes the embedding side of the verify
-        # shuffle scale with the candidate count, not the corpus
-        # (round 5; same shape as minhash_lsh_pairs' shingle semi-join).
-        mem = ray.get(member_ref)
-        ids = b.column("vec_id").to_numpy(zero_copy_only=False)
-        keep = sorted_member_mask(mem, ids)
-        if not keep.any():
-            return pa.table({
-                "vec": pa.array([], type=pa.int64()),
-                "pq": pa.array([], type=pa.int64()),
-                "is_need": pa.array([], type=pa.int8()),
-                "embedding": pa.array([], type=dtype),
-                "pd_": pa.array([], type=pa.int64()),
-            })
-        b = b.filter(pa.array(keep))
-        ids = b.column("vec_id").to_numpy(zero_copy_only=False)
-        n = len(ids)
-        return pa.table({
-            "vec": pa.array(ids, type=pa.int64()),
-            "pq": pa.array(np.full(n, -1), type=pa.int64()),
-            "is_need": pa.array(np.zeros(n, dtype=np.int8)),
-            "embedding": b.column("embedding").cast(dtype),
-            "pd_": pa.array(ids % partitions),
-        })
-
-    vecs = ds.select_columns(["vec_id", "embedding"]) \
-        .map_batches(emb_rows, batch_format="pyarrow")
-
-    def attach_part(g: pd.DataFrame) -> pd.DataFrame:
-        embs = g.loc[g["is_need"] == 0, ["vec", "embedding"]]
-        nd = g.loc[g["is_need"] == 1, ["vec", "pq"]]
-        m = nd.merge(embs, on="vec", how="inner")
-        return pd.DataFrame({
-            "vec": m["vec"].to_numpy(dtype=np.int64),
-            "vec_a": np.full(len(m), -1, dtype=np.int64),
-            "vec_b": np.full(len(m), -1, dtype=np.int64),
-            "is_pair": np.zeros(len(m), dtype=np.int8),
-            "embedding": m["embedding"],
-            "pq": m["pq"].to_numpy(dtype=np.int64),
-        })
-
-    def to_arrow(b: pd.DataFrame) -> pa.Table:
-        # normalize block type: the union below must not mix the pandas
-        # blocks map_groups emits with pair_rows' arrow blocks
-        return pa.table({
-            "vec": pa.array(b["vec"].to_numpy(dtype=np.int64)),
-            "vec_a": pa.array(b["vec_a"].to_numpy(dtype=np.int64)),
-            "vec_b": pa.array(b["vec_b"].to_numpy(dtype=np.int64)),
-            "is_pair": pa.array(b["is_pair"].to_numpy(dtype=np.int8)),
-            "embedding": pa.array([list(e) for e in b["embedding"]],
-                                  type=dtype),
-            "pq": pa.array(b["pq"].to_numpy(dtype=np.int64)),
-        })
-
-    attached = needs.union(vecs).repartition(shuffle_blocks) \
-        .groupby("pd_").map_groups(attach_part, batch_format="pandas") \
-        .map_batches(to_arrow, batch_format="pandas")
-
-    def pair_rows(b: pa.Table) -> pa.Table:
-        va = b.column("vec_a").to_numpy(zero_copy_only=False)
-        vb = b.column("vec_b").to_numpy(zero_copy_only=False)
-        n = len(va)
-        return pa.table({
-            "vec": pa.array(np.full(n, -1), type=pa.int64()),
-            "vec_a": pa.array(va, type=pa.int64()),
-            "vec_b": pa.array(vb, type=pa.int64()),
-            "is_pair": pa.array(np.ones(n, dtype=np.int8)),
-            "embedding": pa.array([[]] * n, type=dtype),
-            "pq": pa.array((va * 1_000_003 + vb) % partitions),
-        })
-
-    pairs = uniq.map_batches(pair_rows, batch_format="pyarrow")
-
-    def verify_part(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"vec_a": pd.array([], dtype="int64"),
-                              "vec_b": pd.array([], dtype="int64"),
-                              "sim": pd.array([], dtype="float64")})
-        if not len(g):
-            return empty
-        embs = g.loc[g["is_pair"] == 0, ["vec", "embedding"]] \
-            .drop_duplicates("vec")
-        prs = g.loc[g["is_pair"] == 1]
-        if not len(embs) or not len(prs):
-            return empty
-        svec = embs["vec"].to_numpy(dtype=np.int64)
-        order = np.argsort(svec, kind="mergesort")
-        svec = svec[order]
-        E = _normalize(np.stack(embs["embedding"].to_numpy()))[order]
-        va = prs["vec_a"].to_numpy(dtype=np.int64)
-        vb = prs["vec_b"].to_numpy(dtype=np.int64)
-        ia = np.searchsorted(svec, va)
-        ib = np.searchsorted(svec, vb)
-        ia = np.minimum(ia, len(svec) - 1)
-        ib = np.minimum(ib, len(svec) - 1)
-        have = (svec[ia] == va) & (svec[ib] == vb)
-        sims = np.einsum("ij,ij->i", E[ia[have]], E[ib[have]])
-        ok = sims >= threshold
-        return pd.DataFrame({"vec_a": va[have][ok], "vec_b": vb[have][ok],
-                             "sim": sims[ok]})
-
-    return attached.union(pairs).repartition(shuffle_blocks) \
-        .groupby("pq").map_groups(verify_part, batch_format="pandas")
+    payload = (ds.select_columns(["vec_id", "embedding"]), "vec_id",
+               _unit_rows, pa.schema([("vec_id", pa.int64()),
+                                      ("embedding", pa.list_(pa.float64()))]))
+    return lsh_pairs(ds.map_batches(explode, batch_format="pyarrow"),
+                     "bucket", "vec_id", ("vec_a", "vec_b"),
+                     payload=payload, score=_cosine_scores,
+                     threshold=threshold)
 
 
 def lsh_buckets_batch(batch: pa.Table, planes: np.ndarray) -> pa.Table:
@@ -715,8 +482,8 @@ def ivf_topk(ds, query_ids: list[int], k: int = 10, nlist: int = 32,
     a (nq, nlist) probe table (each query's ``nprobe`` nearest
     centroids); per-batch assignment is one matmul and each query scores
     only its probed lists; partial top-k caps the shuffle at k rows per
-    (query, batch); one ``groupby(query_id)`` head-k finishes. The vector
-    table never visits the driver. Recall vs brute force is
+    (query, batch); one per-query head-k (:func:`_head_k`) finishes. The
+    vector table never visits the driver. Recall vs brute force is
     pytest-measured (isotropic random vectors are the worst case for any
     space partitioner — real embedding corpora cluster far better)."""
     import ray
@@ -740,14 +507,7 @@ def ivf_topk(ds, query_ids: list[int], k: int = 10, nlist: int = 32,
         batch_format="pyarrow",
     )
 
-    def head_k(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g["vec_id"] != g["query_id"].iloc[0]]
-        g = g.sort_values(["sim", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return scores.groupby("query_id").map_groups(head_k, batch_format="pandas")
+    return _head_k(scores, k)
 
 
 class LshScorer:
@@ -806,9 +566,9 @@ def lsh_topk(ds, query_ids: list[int], k: int = 10, nbits: int = 6, seed: int = 
     Fully streaming (VERDICT r01 #7): the vector table never leaves the
     cluster — queries (small) are broadcast with a (nq, 2^nbits) probe
     lookup table; per-batch partial top-k caps the shuffle at k rows per
-    (query, batch); one ``groupby(query_id)`` head-k finishes. Recall on
-    isotropic random vectors is modest by construction (measured in
-    tests)."""
+    (query, batch); one per-query head-k (:func:`_head_k`) finishes.
+    Recall on isotropic random vectors is modest by construction
+    (measured in tests)."""
     import ray
 
     qdf = ds.map_batches(
@@ -832,14 +592,7 @@ def lsh_topk(ds, query_ids: list[int], k: int = 10, nbits: int = 6, seed: int = 
         batch_format="pyarrow",
     )
 
-    def head_k(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g["vec_id"] != g["query_id"].iloc[0]]
-        g = g.sort_values(["sim", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return scores.groupby("query_id").map_groups(head_k, batch_format="pandas")
+    return _head_k(scores, k)
 
 
 # ---------------------------------------------------------------------------
@@ -984,11 +737,4 @@ def pq_topk(ds, query_ids: list[int], k: int = 10, m_sub: int = 8,
         batch_format="pyarrow",
     )
 
-    def head_k(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g["vec_id"] != g["query_id"].iloc[0]]
-        g = g.sort_values(["sim", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return scores.groupby("query_id").map_groups(head_k, batch_format="pandas")
+    return _head_k(scores, k)

@@ -644,8 +644,8 @@ def _host_of(batch: pa.Table):
 
 
 def _host_hash64(hosts: list[str]) -> np.ndarray:
-    """First 8 md5 bytes per host — content-based, so partition routing
-    and blocklist membership agree across batches and stages."""
+    """First 8 md5 bytes per host — content-based, so blocklist
+    membership agrees across batches and stages."""
     if not hosts:
         return np.empty(0, dtype=np.uint64)
     return np.frombuffer(
@@ -667,49 +667,43 @@ def _head_k_per_host(host_key: np.ndarray, u: np.ndarray, ids: np.ndarray,
     return order[rank < k]
 
 
-def host_cap_sample(ds, k: int = 10, seed: int = 42,
-                    partitions: int = 64):
+def host_cap_sample(ds, k: int = 10, seed: int = 42):
     """Per-host page cap: keep at most ``k`` pages per URL host, chosen
     by counter-RNG rank (ties -> smaller doc_id) — the MassiveText-style
     per-domain cap that stops any single site from dominating the
     corpus. Deterministic at any parallelism.
 
     Scale shape: per-batch partial head-k per host (≤ k rows per
-    (host, batch) enter the shuffle) -> one coarse ``md5(host) % P``
-    partition -> the same vectorized segment-rank kernel finishes each
-    host exactly once."""
+    (host, batch) enter the shuffle) -> one ``util.segment_map`` on
+    ``host`` -> the same vectorized segment-rank kernel finishes each
+    host exactly once, in pyarrow."""
     from ..rng import uniform01
+    from ..util import segment_bounds, segment_map
+
+    schema = pa.schema([("doc_id", pa.int64()), ("host", pa.string())])
 
     def partial(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_numpy(zero_copy_only=False)
         idx, hosts = _host_of(b)
-        h64 = _host_hash64(hosts)
         u = uniform01(ids, seed, HOST_CAP_STREAM)
-        key = h64[idx]
-        sel = _head_k_per_host(key, u, ids, k)
-        sel = np.sort(sel)
+        sel = np.sort(_head_k_per_host(idx, u, ids, k))
         return pa.table({
             "doc_id": pa.array(ids[sel], type=pa.int64()),
             "host": pa.array(np.asarray(hosts, dtype=object)[idx[sel]],
                              type=pa.string()),
             "u": pa.array(u[sel], type=pa.float64()),
-            "ph": pa.array((h64[idx[sel]] % np.uint64(partitions))
-                           .astype(np.int64), type=pa.int64()),
         })
 
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        ids = g["doc_id"].to_numpy()
-        u = g["u"].to_numpy()
-        hosts_arr = g["host"].to_numpy()
-        _, key = np.unique(hosts_arr, return_inverse=True)
-        sel = np.sort(_head_k_per_host(key, u, ids, k))
-        return pd.DataFrame({
-            "doc_id": ids[sel],
-            "host": hosts_arr[sel],
-        })
+    def finish(t: pa.Table) -> pa.Table:
+        new = np.zeros(t.num_rows, dtype=bool)
+        new[segment_bounds(t.column("host").to_numpy())[0]] = True
+        sel = np.sort(_head_k_per_host(
+            np.cumsum(new), t.column("u").to_numpy(),
+            t.column("doc_id").to_numpy(), k))
+        return t.select(["doc_id", "host"]).take(pa.array(sel))
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("ph").map_groups(finish, batch_format="pandas")
+    return segment_map(ds.map_batches(partial, batch_format="pyarrow"),
+                       "host", finish, schema)
 
 
 def _blocked_hosts_ref(pages_ds, bloom_bits_pow2: int = 16):

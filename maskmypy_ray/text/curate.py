@@ -161,15 +161,7 @@ def curate_corpus(ds, threshold: float = 0.8, partitions: int = 64,
         .select_columns(["doc_id", text_col]).materialize()
 
     # ---- stage 3: near-dup cluster dedup among exact survivors ---------
-    # s2 is materialized, so its count is free — clamp the LSH
-    # shuffles' coarseness to the survivor count (in-blocks x
-    # out-partitions object-cost rule); both are partition-count
-    # independent.
-    n2 = s2.count()
-    edges = minhash_lsh_pairs(
-        s2, threshold=threshold,
-        partitions=min(64, max(8, n2 // 512 + 1)),
-        shuffle_blocks=min(32, max(4, n2 // 2048 + 1)))
+    edges = minhash_lsh_pairs(s2, threshold=threshold)
     nodes = s2.map_batches(
         lambda b: pa.table({"node": b.column("doc_id")}),
         batch_format="pyarrow")

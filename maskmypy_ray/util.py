@@ -47,6 +47,20 @@ def flat_ranges(start, count):
         + np.repeat(start - (ends - count), count)
 
 
+def sort_fanout(ds) -> int:
+    """``P = max(1, min(blocks, ceil(bytes / PARTITION_BYTES)))`` of a
+    materialised dataset, read from its block metadata: the one rule
+    for how many partitions a keyed shuffle of ``ds`` runs over."""
+    import math
+
+    from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE, DataContext
+
+    target = PARTITION_BYTES or DataContext.get_current() \
+        .target_max_block_size or DEFAULT_TARGET_MAX_BLOCK_SIZE
+    return max(1, min(ds.num_blocks(),
+                      math.ceil((ds.size_bytes() or 0) / target)))
+
+
 def segment_map(ds, key: str, kernel, schema):
     """``kernel(block)`` over every block of ``ds.sort(key)``, each block
     whole (``batch_size=None``) and in pyarrow: the fine-key group
@@ -61,29 +75,24 @@ def segment_map(ds, key: str, kernel, schema):
 
     The fan-out is decided here, once, from the input's size: the sort
     runs over ``P = max(1, min(blocks, ceil(bytes / PARTITION_BYTES)))``
-    partitions, and the input is coalesced to P blocks when P is below
-    its block count. A shuffle costs in-blocks x out-partitions objects,
-    so a small input sorts into one partition however many blocks it
-    arrived in, while at 10^12 rows each partition still holds about
-    one target block (``bytes / PARTITION_BYTES`` is then far above any
-    CPU count, and capping at the block count never sorts into more
-    partitions than the blocks Ray cut). The sizes come from block
+    partitions (:func:`sort_fanout`), and the input is coalesced to P
+    blocks when P is below its block count. A shuffle costs in-blocks x
+    out-partitions objects, so a small input sorts into one partition
+    however many blocks it arrived in, while at 10^12 rows each
+    partition still holds about one target block (``bytes /
+    PARTITION_BYTES`` is then far above any CPU count, and capping at
+    the block count never sorts into more partitions than the blocks
+    Ray cut). The sizes come from block
     metadata, so an input that is not materialised is materialised
     first (the sort is an all-to-all barrier that holds every input
     block before it sorts anything anyway), and a materialised input
     does not run again."""
-    import math
-
-    from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE, DataContext
     from ray.data.dataset import MaterializedDataset
 
     if not isinstance(ds, MaterializedDataset):
         ds = ds.materialize()
-    target = PARTITION_BYTES or DataContext.get_current() \
-        .target_max_block_size or DEFAULT_TARGET_MAX_BLOCK_SIZE
-    blocks = ds.num_blocks()
-    p = max(1, min(blocks, math.ceil((ds.size_bytes() or 0) / target)))
-    if p < blocks:
+    p = sort_fanout(ds)
+    if p < ds.num_blocks():
         ds = ds.repartition(p)
 
     def fn(block):
@@ -169,11 +178,11 @@ def segmented_pair_indices(new):
     """Row positions ``(ia, ib)`` of every within-run pair (``ia < ib``,
     same run) given run-start indicator ``new`` over rows already sorted
     so each bucket is a contiguous run — ONE segmented arange, no
-    per-bucket Python loop. Shared by the MinHash-, SimHash- and
-    sign-LSH bucket→candidate-pair kernels: at web scale one coarse
-    partition holds millions of colliding buckets, so a per-bucket
-    pandas groupby loop (~70 us each) is the path's real hot spot
-    (measured 55x on 200k buckets)."""
+    per-bucket Python loop. The bucket→candidate-pair kernel of
+    ``lsh.lsh_pairs``: at web scale one sorted block holds millions of
+    colliding buckets, so a per-bucket pandas groupby loop (~70 us
+    each) is the path's real hot spot (measured 55x on 200k
+    buckets)."""
     import numpy as np
 
     if not len(new):
@@ -197,10 +206,10 @@ def pair_ids_ref(pairs_ds, col_a: str, col_b: str):
     candidates never visit the driver. Size is bounded by the candidate
     count (the mass the verify stage holds anyway); each block is
     deduped as it is consumed so the task's peak stays at the per-block
-    distinct sum. Used by the LSH verify semi-joins
-    (text.dedup.minhash_lsh_pairs, sim.ann.cosine_pairs_lsh) to filter
-    the big payload table (shingles / embeddings) to candidate members
-    BEFORE its tokenize/cast stage and its partition all-to-all."""
+    distinct sum. Used by the LSH verify semi-join (``lsh.lsh_pairs``)
+    to filter the big payload table (shingles / embeddings) to
+    candidate members BEFORE its tokenize/cast stage and its
+    all-to-all."""
     import numpy as np
     import pyarrow as pa
     import ray

@@ -260,23 +260,3 @@ def test_pq_topk_recall(ray_session, sf_dir):
     pd.testing.assert_frame_equal(
         approx.sort_values(["query_id", "rank"]).reset_index(drop=True),
         again.sort_values(["query_id", "rank"]).reset_index(drop=True))
-
-
-def test_cosine_lsh_verify_paths_agree(ray_session, sf_dir, monkeypatch):
-    """The broadcast-verify fast path and the two-sided partition
-    hash-merge return bit-identical cosine pair sets."""
-    import ray.data
-
-    from maskmypy_ray.sim import ann as ann_mod
-
-    def run():
-        emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                                    columns=["vec_id", "embedding"])
-        return ann_mod.cosine_pairs_lsh(
-            ann_mod.with_perturbed_copies(emb), threshold=0.9).to_pandas() \
-            .sort_values(["vec_a", "vec_b"]).reset_index(drop=True)
-
-    fast = run()
-    monkeypatch.setattr(ann_mod, "LSH_BROADCAST_VERIFY_MAX_PAIRS", 0)
-    slow = run()
-    assert len(fast) > 0 and fast.equals(slow)

@@ -578,19 +578,36 @@ def test_geo_scrub(ray_session, sf_dir):
     assert (out.loc[out["n_scrubbed"] > 0, "text"].str.contains("<GEO>")).all()
 
 
-def test_minhash_partition_count_independence(ray_session, sf_dir):
-    from maskmypy_ray.text.dedup import minhash_lsh_pairs, with_mutated_copies
+def _cosine_pairs_lsh(sf_dir):
+    from maskmypy_ray.pipelines import _emb_ds
+    from maskmypy_ray.sim.ann import cosine_pairs_lsh, with_perturbed_copies
 
-    docs = ray_session.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                         columns=["doc_id", "text"])
-    corpus = with_mutated_copies(docs)
-    a = minhash_lsh_pairs(corpus, threshold=0.8).to_pandas() \
-        .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    b = minhash_lsh_pairs(corpus, threshold=0.8, partitions=7).to_pandas() \
-        .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    assert a["doc_a"].tolist() == b["doc_a"].tolist()
-    assert a["doc_b"].tolist() == b["doc_b"].tolist()
-    assert np.allclose(a["sim"], b["sim"])
+    return cosine_pairs_lsh(with_perturbed_copies(_emb_ds(sf_dir)),
+                            threshold=0.9)
+
+
+@pytest.mark.parametrize("op", ["dedup_minhash", "dedup_simhash", None,
+                                "media_phash_pairs"],
+                         ids=["minhash", "simhash", "cosine", "phash"])
+def test_lsh_fanout_independence(ray_session, sf_dir, monkeypatch, op):
+    """Each banded-LSH caller returns the identical sorted pairs at three
+    sort fan-outs (``util.PARTITION_BYTES`` at its default, at 4096
+    bytes and at 1 byte, which sorts into one partition per block and
+    so spreads the MinHash and cosine verify over several pair
+    buckets)."""
+    from maskmypy_ray import pipelines as P
+    from maskmypy_ray import util
+
+    run = P.FULL_QUERIES[op] if op else _cosine_pairs_lsh
+    runs = []
+    for value in (None, 4096, 1):
+        monkeypatch.setattr(util, "PARTITION_BYTES", value)
+        df = run(sf_dir).to_pandas()
+        runs.append(df.sort_values(list(df.columns[:2]))
+                    .reset_index(drop=True))
+    assert len(runs[0]) > 0
+    for other in runs[1:]:
+        pd.testing.assert_frame_equal(runs[0], other)
 
 
 def test_chunk_dedup_partition_count_independence(ray_session):
@@ -725,9 +742,10 @@ def test_weighted_sample_proportions(ray_session):
     assert sorted(out2["doc_id"]) == sorted(out["doc_id"])
 
 
-def test_host_cap_sample_cap_and_invariance(ray_session):
+def test_host_cap_sample_cap_and_invariance(ray_session, monkeypatch):
     import ray.data
 
+    from maskmypy_ray import util
     from maskmypy_ray.text.corpus import host_cap_sample
 
     n = 600
@@ -739,9 +757,10 @@ def test_host_cap_sample_cap_and_invariance(ray_session):
     out = host_cap_sample(ds, k=10, seed=3).to_pandas()
     counts = out.groupby("host").size()
     assert (counts == 10).all() and len(counts) == 6
-    out2 = host_cap_sample(ds.repartition(9), k=10, seed=3,
-                           partitions=5).to_pandas()
-    assert sorted(out2["doc_id"]) == sorted(out["doc_id"])
+    for value in (None, 4096):
+        monkeypatch.setattr(util, "PARTITION_BYTES", value)
+        out2 = host_cap_sample(ds.repartition(9), k=10, seed=3).to_pandas()
+        assert sorted(out2["doc_id"]) == sorted(out["doc_id"])
 
 
 def test_host_blocklist_filter_exact(ray_session):

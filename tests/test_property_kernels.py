@@ -40,7 +40,7 @@ def test_segmented_pair_indices_matches_bruteforce(run_lens):
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
                 min_size=0, max_size=50))
 def test_popcount64_matches_python(vals):
-    from maskmypy_ray.text.dedup import popcount64
+    from maskmypy_ray.lsh import popcount64
 
     x = np.array(vals, dtype=np.uint64)
     got = popcount64(x)

@@ -2,8 +2,9 @@
 and part names a registered operator, gated rows are gated part by part,
 and each union row's DuckDB oracle has exactly its declared schema
 (bound at sf0.001). Three source ratchets ride along: the count of
-``map_groups`` lines, no ``partitions`` knob on the graph paths, and no
-per-polygon or per-edge loop in the point-in-polygon kernel."""
+``map_groups`` lines, no fan-out knob on the graph paths and the
+banded-LSH join, and no per-polygon or per-edge loop in the
+point-in-polygon kernel."""
 
 from __future__ import annotations
 
@@ -75,20 +76,39 @@ def test_map_groups_count_only_falls():
     back (a keyed shuffle is ``util.segment_map`` / ``cogroup_map``)."""
     n = sum(line.count("map_groups") > 0 for f in PKG.rglob("*.py")
             for line in f.read_text().splitlines())
-    assert n <= 60, n
+    assert n <= 40, n
+
+
+FANOUT_KNOBS = {"partitions", "shuffle_blocks", "n_parts"}
 
 
 @pytest.mark.parametrize("mod", ["text/clusters.py", "analysis/dbscan.py",
-                                 "text/rank.py"])
+                                 "text/rank.py", "lsh.py", "sim/ann.py",
+                                 "multimodal/media.py"])
 def test_graph_paths_take_no_partitions(mod):
     """The sort fan-out is decided in ``util.segment_map``; the graph
-    paths take no ``partitions`` parameter."""
+    paths and the banded-LSH join take no ``partitions``,
+    ``shuffle_blocks`` or ``n_parts`` parameter."""
     tree = ast.parse((PKG / mod).read_text())
     named = [getattr(n, "name", "lambda") for n in ast.walk(tree)
              if isinstance(n, (ast.FunctionDef, ast.Lambda))
-             and "partitions" in [a.arg for a in ast.walk(n.args)
-                                  if isinstance(a, ast.arg)]]
+             and FANOUT_KNOBS & {a.arg for a in ast.walk(n.args)
+                                 if isinstance(a, ast.arg)}]
     assert named == [], named
+
+
+@pytest.mark.parametrize("fn", [
+    "text.dedup.minhash_lsh_pairs", "text.dedup.simhash_pairs",
+    "sim.ann.cosine_pairs_lsh", "multimodal.media.media_phash_pairs",
+    "text.corpus.host_cap_sample"])
+def test_lsh_and_host_cap_take_no_fanout_knob(fn):
+    """The four banded-LSH entry points and the per-host cap shuffle
+    through ``segment_map``, which sizes the fan-out from the data."""
+    import importlib
+
+    mod, name = fn.rsplit(".", 1)
+    f = getattr(importlib.import_module(f"maskmypy_ray.{mod}"), name)
+    assert not FANOUT_KNOBS & set(inspect.signature(f).parameters)
 
 
 def test_pip_loops_over_no_polygon_or_edge():

@@ -495,26 +495,6 @@ def test_decontaminate_bloom_oracle_parity(ray_session, sf_dir):
     assert eng["contaminated"].tolist() == orc["contaminated"].tolist()
 
 
-def test_minhash_verify_paths_agree(ray_session, sf_dir, monkeypatch):
-    """The broadcast-verify fast path (small candidate sets) and the
-    2-shuffle attach/verify plan return bit-identical pair sets."""
-    import ray.data
-
-    from maskmypy_ray.text import dedup as dedup_mod
-
-    def run():
-        ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                   columns=["doc_id", "text"])
-        return dedup_mod.minhash_lsh_pairs(
-            dedup_mod.with_mutated_copies(ds), threshold=0.8).to_pandas() \
-            .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-
-    fast = run()
-    monkeypatch.setattr(dedup_mod, "LSH_BROADCAST_VERIFY_MAX_PAIRS", 0)
-    slow = run()
-    assert len(fast) > 0 and fast.equals(slow)
-
-
 # ---------------------------------------------------------------------------
 # DSIR importance resampling (round-5 extension)
 # ---------------------------------------------------------------------------
